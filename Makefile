@@ -105,6 +105,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExploreReduced$$' -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 5s ./internal/fsm
 	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime 5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceLog$$' -fuzztime 5s ./internal/wire/conformance
 
 # run-pgd starts the derivation daemon on :8080 (override with ARGS).
 run-pgd:

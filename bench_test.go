@@ -380,15 +380,14 @@ func BenchmarkReductionAblation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, noRed := range []bool{false, true} {
-		name := "reduced"
-		if noRed {
-			name = "full"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		red  compose.Reductions
+	}{{"reduced", 0}, {"full", compose.RedNone}} {
+		b.Run(c.name, func(b *testing.B) {
 			var states int
 			for i := 0; i < b.N; i++ {
-				sys, err := compose.New(d.Entities, compose.Config{NoReduction: noRed})
+				sys, err := compose.New(d.Entities, compose.Config{Reductions: c.red})
 				if err != nil {
 					b.Fatal(err)
 				}

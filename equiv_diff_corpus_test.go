@@ -1,19 +1,23 @@
 package protoderive
 
 // Corpus-wide differential validation of the integer equivalence engine
-// (internal/equiv engine.go) against the retained map/string reference
-// checker: for every specs/*.spec, the service graph and the composed
-// protocol graph — plus mutated protocol variants from internal/mutate —
-// must get verdict-for-verdict identical answers from both implementations
-// on WeakBisimilar, ObservationCongruent, StrongBisimilar and
-// NumClassesWeak. This lives in the root package because internal/compose
-// imports internal/equiv, so equiv's own tests cannot build composed
-// graphs.
+// (internal/equiv engine.go) and the weak-trace engine (internal/lts
+// weak.go) against the retained map/string reference checkers: for every
+// specs/*.spec, the service graph and the composed protocol graph — plus
+// mutated protocol variants from internal/mutate — must get identical
+// answers from both implementations on WeakBisimilar, ObservationCongruent,
+// StrongBisimilar, NumClassesWeak, the WeakTraces listing,
+// WeakTraceEquivalent, TraceDiff and AcceptsTrace. This lives in the root
+// package because internal/compose imports internal/equiv, so equiv's own
+// tests cannot build composed graphs.
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/compose"
@@ -60,6 +64,77 @@ func assertEngineAgreement(t *testing.T, name string, g1, g2 *lts.Graph) {
 			t.Errorf("%s: NumClassesWeak(g%d) engine=%d reference=%d", name, i+1, got, want)
 		}
 	}
+	assertTraceAgreement(t, name, g1, g2, diffLimits.MaxObsDepth)
+}
+
+// assertTraceAgreement checks the weak-trace engine against the reference
+// string enumerator equiv.RefWeakTraces: the trace listings, the bounded
+// equivalence verdict, the TraceDiff examples at several limits, and the
+// acceptor on every listed trace, its extension by delta and its one-label
+// mutations.
+func assertTraceAgreement(t *testing.T, name string, g1, g2 *lts.Graph, maxLen int) {
+	t.Helper()
+	r1, r2 := equiv.RefWeakTraces(g1, maxLen), equiv.RefWeakTraces(g2, maxLen)
+	if got, want := equiv.WeakTraceEquivalent(g1, g2, maxLen), reflect.DeepEqual(r1, r2); got != want {
+		t.Errorf("%s: WeakTraceEquivalent engine=%v reference=%v", name, got, want)
+	}
+	for _, limit := range []int{1, 5, math.MaxInt} {
+		got1, got2 := equiv.TraceDiff(g1, g2, maxLen, limit)
+		want1, want2 := refTraceDiff(r1, r2, limit), refTraceDiff(r2, r1, limit)
+		if !reflect.DeepEqual(got1, want1) || !reflect.DeepEqual(got2, want2) {
+			t.Errorf("%s: TraceDiff limit %d engine=%q/%q reference=%q/%q", name, limit, got1, got2, want1, want2)
+		}
+	}
+	for i, side := range []struct {
+		g   *lts.Graph
+		ref []string
+	}{{g1, r1}, {g2, r2}} {
+		if got := lts.WeakTraces(side.g, maxLen); !reflect.DeepEqual(got, side.ref) {
+			t.Errorf("%s: WeakTraces(g%d) engine=%d traces reference=%d", name, i+1, len(got), len(side.ref))
+		}
+		// Every trace of up to maxLen+1 labels is decided by the longer
+		// reference listing.
+		long := map[string]bool{}
+		alphabet := map[string]bool{"delta": true, "nosuch9": true}
+		for _, tr := range equiv.RefWeakTraces(side.g, maxLen+1) {
+			long[tr] = true
+			for _, l := range lts.ParseTrace(tr) {
+				alphabet[l] = true
+			}
+		}
+		check := func(tr string) {
+			if got := lts.AcceptsTrace(side.g, tr); got != long[tr] {
+				t.Errorf("%s: AcceptsTrace(g%d, %q) engine=%v reference=%v", name, i+1, tr, got, long[tr])
+			}
+		}
+		for _, tr := range side.ref {
+			check(tr)
+			check(lts.AppendTrace(tr, "delta"))
+			tl := lts.ParseTrace(tr)
+			for pos := range tl {
+				for l := range alphabet {
+					m := append([]string(nil), tl...)
+					m[pos] = l
+					check(lts.JoinTrace(m))
+				}
+			}
+		}
+	}
+}
+
+// refTraceDiff is TraceDiff specified over two sorted reference listings:
+// the first limit traces of a that b lacks, in order.
+func refTraceDiff(a, b []string, limit int) []string {
+	var out []string
+	for _, tr := range a {
+		if len(out) >= limit {
+			break
+		}
+		if i := sort.SearchStrings(b, tr); i == len(b) || b[i] != tr {
+			out = append(out, tr)
+		}
+	}
+	return out
 }
 
 func TestCorpusEquivEngineDifferential(t *testing.T) {

@@ -60,13 +60,6 @@ type Config struct {
 	// spilling) applied during exploration. The zero value selects the
 	// default set (POR only); RedNone selects none. See Reductions.
 	Reductions Reductions
-	// NoReduction disables every reduction and explores every interleaving.
-	// Exponentially slower; kept for the reduction-soundness tests and the
-	// ablation benchmark.
-	//
-	// Deprecated: set Reductions to RedNone instead. Ignored when Reductions
-	// is non-zero.
-	NoReduction bool
 	// SpillBudget bounds the in-memory visited index (in bytes) when the
 	// RedSpill reduction is enabled; past it, sorted key runs spill to temp
 	// files. 0 selects lts.DefaultSpillBudget.

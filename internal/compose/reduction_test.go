@@ -64,10 +64,8 @@ func TestEffectiveReductions(t *testing.T) {
 		want Reductions
 	}{
 		{"zero value = POR default", Config{}, RedPOR},
-		{"deprecated NoReduction alias", Config{NoReduction: true}, 0},
 		{"explicit none", Config{Reductions: RedNone}, 0},
-		{"explicit none beats NoReduction=false", Config{Reductions: RedNone, NoReduction: false}, 0},
-		{"explicit mask ignores NoReduction", Config{Reductions: RedPOR.With(RedSpill), NoReduction: true}, RedPOR | RedSpill},
+		{"explicit mask", Config{Reductions: RedPOR.With(RedSpill)}, RedPOR | RedSpill},
 		{"all", Config{Reductions: RedAll | redExplicit}, RedAll},
 	}
 	for _, c := range cases {

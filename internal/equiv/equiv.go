@@ -6,15 +6,15 @@
 // fallback for state spaces that cannot be explored to closure.
 //
 // All checks operate on the finite (possibly truncated) transition graphs
-// produced by internal/lts. They run on the integer engine of engine.go
-// (interned labels, τ-SCC saturation, hashed partition refinement); the
-// original map/string checker is retained in reference.go as the executable
-// specification the differential tests compare against.
+// produced by internal/lts. Bisimulation runs on the integer engine of
+// engine.go (interned labels, τ-SCC saturation, hashed partition
+// refinement); the trace checks and counterexample searches walk the
+// determinized graphs of lts.Subsets. The original map/string checkers are
+// retained in reference.go as the executable specification the
+// differential tests compare against.
 package equiv
 
 import (
-	"sort"
-
 	"repro/internal/lts"
 )
 
@@ -109,66 +109,61 @@ func StrongBisimilar(g1, g2 *lts.Graph) bool {
 	return block[0] == block[n1]
 }
 
-// dedup returns a sorted, duplicate-free version of xs. It never modifies
-// the input: callers pass aliased views of shared closure slices (the
-// reference checker's ε-closures among them), and sorting or compacting
-// through the caller's backing array would corrupt them.
-func dedup(xs []int) []int {
-	if len(xs) < 2 {
-		return xs
-	}
-	out := make([]int, len(xs))
-	copy(out, xs)
-	sort.Ints(out)
-	w := 1
-	for _, x := range out[1:] {
-		if x != out[w-1] {
-			out[w] = x
-			w++
-		}
-	}
-	return out[:w]
-}
-
 // WeakTraceEquivalent reports whether g1 and g2 have the same weak traces up
 // to the given length. It is sound for truncated graphs only as a bounded
-// check: traces longer than the exploration depth are not compared.
+// check: traces longer than the exploration depth are not compared. The
+// trace sets are equal exactly when neither side has a trace the other
+// lacks, so this is TraceDiff asked for one example per side.
 func WeakTraceEquivalent(g1, g2 *lts.Graph, maxLen int) bool {
-	t1 := lts.WeakTraces(g1, maxLen)
-	t2 := lts.WeakTraces(g2, maxLen)
-	if len(t1) != len(t2) {
-		return false
-	}
-	for i := range t1 {
-		if t1[i] != t2[i] {
-			return false
-		}
-	}
-	return true
+	only1, only2 := TraceDiff(g1, g2, maxLen, 1)
+	return only1 == nil && only2 == nil
 }
 
 // TraceDiff returns example traces present in exactly one of the two
 // graphs, up to maxLen and at most limit entries per side, for diagnostics.
+// Each side lists its lexicographically smallest such traces, in order.
 func TraceDiff(g1, g2 *lts.Graph, maxLen, limit int) (onlyG1, onlyG2 []string) {
-	t1 := lts.WeakTraces(g1, maxLen)
-	t2 := lts.WeakTraces(g2, maxLen)
-	set1 := map[string]bool{}
-	for _, t := range t1 {
-		set1[t] = true
-	}
-	set2 := map[string]bool{}
-	for _, t := range t2 {
-		set2[t] = true
-	}
-	for _, t := range t1 {
-		if !set2[t] && len(onlyG1) < limit {
-			onlyG1 = append(onlyG1, t)
+	a, b := lts.NewSubsets(g1), lts.NewSubsets(g2)
+	return onlyIn(a, b, maxLen, limit), onlyIn(b, a, maxLen, limit)
+}
+
+// onlyIn lists, in sorted order, the first limit traces of a, up to maxLen
+// labels, that b lacks. Such a trace leaves b at its first label b cannot
+// follow, and every extension in a is then missing from b too. The walk
+// visits labels in rendering order, so traces come out sorted. It memoizes
+// the (node pair, labels left) states below which no trace is missing, so
+// each common prefix without a divergence below is searched once.
+func onlyIn(a, b *lts.Subsets, maxLen, limit int) []string {
+	var out []string
+	exhausted := map[[3]int32]bool{}
+	// walk emits the missing traces that extend trace, which leads to node x
+	// of a and to node y of b (-1 once b has left it), and reports whether
+	// it emitted any.
+	var walk func(x, y int32, trace string, left int) bool
+	walk = func(x, y int32, trace string, left int) bool {
+		if y < 0 {
+			out = append(out, trace)
 		}
-	}
-	for _, t := range t2 {
-		if !set1[t] && len(onlyG2) < limit {
-			onlyG2 = append(onlyG2, t)
+		k := [3]int32{x, y, int32(left)}
+		if left <= 0 || exhausted[k] {
+			return y < 0
 		}
+		found := y < 0
+		for _, st := range a.Succ(x) {
+			if len(out) >= limit {
+				return true
+			}
+			ny := int32(-1)
+			if y >= 0 {
+				ny = b.Next(y, st.Label)
+			}
+			found = walk(st.To, ny, lts.AppendTrace(trace, st.Label), left-1) || found
+		}
+		exhausted[k] = !found
+		return found
 	}
-	return onlyG1, onlyG2
+	if limit > 0 {
+		walk(0, 0, "", maxLen)
+	}
+	return out
 }

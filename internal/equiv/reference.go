@@ -1,18 +1,22 @@
 package equiv
 
-// The pre-engine equivalence checker, retained verbatim as an executable
+// The pre-engine equivalence checker, retained as an executable
 // specification: per-state ε-closure searches, weak transition maps of the
-// form map[string][]int, and partition refinement over rendered string
-// signatures. It is quadratic-ish and allocation-heavy — never call it on a
+// form map[string][]int, partition refinement over rendered string
+// signatures, and the string weak-trace enumerator RefWeakTraces that the
+// lts.Subsets engine replaced (re-expressed over the same saturated
+// relation). It is quadratic-ish and allocation-heavy — never call it on a
 // hot path. Its sole clients are the differential tests (reference_test.go
 // and the corpus-wide sweep in the root package), which assert that the
-// integer engine agrees with it verdict for verdict, and the benchmark
-// sweeps that measure the engine's speedup against it. Exported Ref* names
-// exist because the corpus differential tests must live outside this
-// package (internal/compose imports equiv, so equiv's own test files cannot
-// build composed graphs).
+// engines agree with it verdict for verdict, and the benchmark sweeps that
+// measure the engine's speedup against it. Exported Ref* names exist
+// because the corpus differential tests must live outside this package
+// (internal/compose imports equiv, so equiv's own test files cannot build
+// composed graphs).
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -75,6 +79,60 @@ func epsClosure(g *lts.Graph, s int) []int {
 		out = append(out, st)
 	}
 	sort.Ints(out)
+	return out
+}
+
+// dedup returns a sorted, duplicate-free version of xs. It never modifies
+// the input: callers pass aliased views of shared ε-closure slices, and
+// sorting or compacting through the caller's backing array would corrupt
+// them.
+func dedup(xs []int) []int {
+	out := slices.Clone(xs)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// RefWeakTraces is the reference implementation of lts.WeakTraces: the
+// string enumerator the lts.Subsets engine replaced. It walks (trace, state
+// set) pairs over the per-state saturated weak relation, deduplicating them
+// by a rendered string key, and renders every trace as it is found.
+// WeakTraceEquivalent and TraceDiff are specified as comparisons of these
+// sorted listings.
+func RefWeakTraces(g *lts.Graph, maxLen int) []string {
+	sat := refSaturate(g)
+	names := map[string]string{} // label key -> rendering
+	for _, es := range g.Edges {
+		for _, e := range es {
+			names[e.Label.Key()] = e.Label.String()
+		}
+	}
+	traces, seen := map[string]bool{}, map[string]bool{}
+	var walk func(states []int, trace string, depth int)
+	walk = func(states []int, trace string, depth int) {
+		traces[trace] = true
+		sig := trace + "\x00" + fmt.Sprint(states)
+		if depth >= maxLen || seen[sig] {
+			return
+		}
+		seen[sig] = true
+		byKey := map[string][]int{}
+		for _, s := range states {
+			for k, ts := range sat.weak[s] {
+				if k != epsKey {
+					byKey[k] = append(byKey[k], ts...)
+				}
+			}
+		}
+		for k, ts := range byKey {
+			walk(dedup(ts), lts.AppendTrace(trace, names[k]), depth+1)
+		}
+	}
+	walk(sat.weak[0][epsKey], "", 0)
+	out := make([]string, 0, len(traces))
+	for tr := range traces {
+		out = append(out, tr)
+	}
+	sort.Strings(out)
 	return out
 }
 

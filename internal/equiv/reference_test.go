@@ -4,13 +4,15 @@ package equiv
 // map/string reference checker (reference.go): for hand-picked law pairs
 // and a randomized sweep of guarded behaviour expressions, every public
 // verdict — WeakBisimilar, ObservationCongruent, StrongBisimilar,
-// NumClassesWeak — must agree exactly. The corpus-wide differential sweep
+// NumClassesWeak — must agree exactly, and so must the weak-trace engine's
+// listing, equivalence verdict and diff examples against RefWeakTraces. The corpus-wide differential sweep
 // (service vs composed graphs plus mutants) lives in the root package,
 // which can import internal/compose.
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/lts"
@@ -53,6 +55,34 @@ func assertAgreement(t *testing.T, name string, g1, g2 *lts.Graph) {
 			t.Errorf("%s: NumClassesWeak(g%d) engine=%d reference=%d", name, i+1, got, want)
 		}
 	}
+	// The weak-trace engine against the reference string enumerator.
+	const depth = 4
+	r1, r2 := RefWeakTraces(g1, depth), RefWeakTraces(g2, depth)
+	if got := lts.WeakTraces(g1, depth); !slices.Equal(got, r1) {
+		t.Errorf("%s: WeakTraces engine=%q reference=%q", name, got, r1)
+	}
+	if got, want := WeakTraceEquivalent(g1, g2, depth), slices.Equal(r1, r2); got != want {
+		t.Errorf("%s: WeakTraceEquivalent engine=%v reference=%v", name, got, want)
+	}
+	only1, only2 := TraceDiff(g1, g2, depth, 3)
+	if want := firstMissing(r1, r2, 3); !slices.Equal(only1, want) {
+		t.Errorf("%s: TraceDiff only-g1 engine=%q reference=%q", name, only1, want)
+	}
+	if want := firstMissing(r2, r1, 3); !slices.Equal(only2, want) {
+		t.Errorf("%s: TraceDiff only-g2 engine=%q reference=%q", name, only2, want)
+	}
+}
+
+// firstMissing returns the first limit traces of the sorted listing a that
+// the sorted listing b lacks.
+func firstMissing(a, b []string, limit int) []string {
+	var out []string
+	for _, tr := range a {
+		if _, found := slices.BinarySearch(b, tr); !found && len(out) < limit {
+			out = append(out, tr)
+		}
+	}
+	return out
 }
 
 func TestEngineAgreesWithReferenceOnLawPairs(t *testing.T) {

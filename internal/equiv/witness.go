@@ -1,9 +1,7 @@
 package equiv
 
 import (
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 
 	"repro/internal/lts"
 )
@@ -18,13 +16,13 @@ import (
 // the explored state space.
 
 // witnessNode is one node of the subset-product BFS: a subject state paired
-// with the set of reference states reachable by the same weak trace.
+// with the determinized reference node (the τ-closed set of reference
+// states) reached by the same weak trace.
 type witnessNode struct {
-	state  int    // subject graph state
-	refKey string // canonical key of the τ-closed reference state set
-	refSet []int
-	obs    int // observable steps taken so far
-	parent int // index of the parent node (-1 for the root)
+	state  int   // subject graph state
+	ref    int32 // reference lts.Subsets node
+	obs    int   // observable steps taken so far
+	parent int   // index of the parent node (-1 for the root)
 	edge   lts.Edge
 }
 
@@ -44,40 +42,46 @@ func DivergentPath(subject, reference *lts.Graph, maxObs int) ([]lts.PathStep, b
 	if subject.NumStates() == 0 || reference.NumStates() == 0 {
 		return nil, false
 	}
-	refClosure := tauClosures(reference)
-
-	rootSet := refClosure[0]
-	nodes := []witnessNode{{state: 0, refKey: intSetKey(rootSet), refSet: rootSet, obs: 0, parent: -1}}
-	visited := map[string]bool{nodeKey(0, intSetKey(rootSet), 0, maxObs): true}
+	ref := lts.NewSubsets(reference)
+	var nodes []witnessNode
+	visited := map[[3]int]bool{}
+	push := func(n witnessNode) {
+		// The observable count participates only under a bound: with
+		// maxObs = 0 the judgement of a node is independent of how many
+		// observables led to it, and folding obs into the key would blow
+		// the search up for cyclic graphs.
+		k := [3]int{n.state, int(n.ref), n.obs}
+		if maxObs <= 0 {
+			k[2] = 0
+		}
+		if !visited[k] {
+			visited[k] = true
+			nodes = append(nodes, n)
+		}
+	}
+	push(witnessNode{parent: -1})
 
 	for head := 0; head < len(nodes); head++ {
 		cur := nodes[head]
 		for _, e := range subject.Edges[cur.state] {
 			if !e.Label.Observable() {
-				// Internal subject move: the reference set is unchanged.
-				push(&nodes, visited, witnessNode{
-					state: e.To, refKey: cur.refKey, refSet: cur.refSet,
-					obs: cur.obs, parent: head, edge: e,
-				}, maxObs)
+				// Internal subject move: the reference node is unchanged.
+				push(witnessNode{state: e.To, ref: cur.ref, obs: cur.obs, parent: head, edge: e})
 				continue
 			}
 			if maxObs > 0 && cur.obs >= maxObs {
 				continue // beyond the sound comparison bound
 			}
-			// Determinized reference step: all weak successors of the set
-			// under the same observable label.
-			next, frontier := weakStep(reference, refClosure, cur.refSet, e.Label.Key())
-			if len(next) == 0 {
-				if frontier {
+			// Determinized reference step under the same observable label.
+			next := ref.Next(cur.ref, e.Label.String())
+			if next < 0 {
+				if ref.Frontier(cur.ref) {
 					continue // unknown successors: cannot judge soundly
 				}
 				// Divergence: the reference cannot match this observable.
-				return unwindNodes(nodes, head, e), true
+				return append(unwindNodes(nodes, head), lts.PathStep{From: cur.state, Edge: e}), true
 			}
-			push(&nodes, visited, witnessNode{
-				state: e.To, refKey: intSetKey(next), refSet: next,
-				obs: cur.obs + 1, parent: head, edge: e,
-			}, maxObs)
+			push(witnessNode{state: e.To, ref: next, obs: cur.obs + 1, parent: head, edge: e})
 		}
 	}
 	return nil, false
@@ -94,47 +98,34 @@ func TracePrefixPath(subject *lts.Graph, trace []string) ([]lts.PathStep, int) {
 	if subject.NumStates() == 0 {
 		return nil, 0
 	}
-	type node struct {
-		state  int
-		pos    int
-		parent int
-		edge   lts.Edge
-	}
-	nodes := []node{{state: 0, pos: 0, parent: -1}}
+	// Nodes pair a subject state with the number of trace labels realized
+	// (in obs); best is the first node realizing the most.
+	nodes := []witnessNode{{parent: -1}}
 	visited := map[[2]int]bool{{0, 0}: true}
 	best := 0
-	bestAt := 0
 	for head := 0; head < len(nodes); head++ {
 		cur := nodes[head]
-		if cur.pos > best {
-			best, bestAt = cur.pos, head
-			if best == len(trace) {
+		if cur.obs > nodes[best].obs {
+			best = head
+			if cur.obs == len(trace) {
 				break
 			}
 		}
 		for _, e := range subject.Edges[cur.state] {
-			pos := cur.pos
+			pos := cur.obs
 			if e.Label.Observable() {
 				if pos >= len(trace) || e.Label.String() != trace[pos] {
 					continue
 				}
 				pos++
 			}
-			if visited[[2]int{e.To, pos}] {
-				continue
+			if !visited[[2]int{e.To, pos}] {
+				visited[[2]int{e.To, pos}] = true
+				nodes = append(nodes, witnessNode{state: e.To, obs: pos, parent: head, edge: e})
 			}
-			visited[[2]int{e.To, pos}] = true
-			nodes = append(nodes, node{state: e.To, pos: pos, parent: head, edge: e})
 		}
 	}
-	var rev []lts.PathStep
-	for at := bestAt; nodes[at].parent >= 0; at = nodes[at].parent {
-		rev = append(rev, lts.PathStep{From: nodes[nodes[at].parent].state, Edge: nodes[at].edge})
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, best
+	return unwindNodes(nodes, best), nodes[best].obs
 }
 
 // ShortestDivergentTrace returns the observable projection of
@@ -148,96 +139,12 @@ func ShortestDivergentTrace(subject, reference *lts.Graph, maxObs int) ([]string
 	return lts.ObservableTrace(path), true
 }
 
-// weakStep computes the τ-closed set of reference states reachable from any
-// state in set by one observable transition with the given label key. The
-// second result reports that some member of the set is an unexpanded
-// frontier state (its successors are unknown, so an empty result is not
-// conclusive).
-func weakStep(g *lts.Graph, closure [][]int, set []int, labelKey string) ([]int, bool) {
-	var out []int
-	frontier := false
-	for _, s := range set {
-		if g.Frontier[s] {
-			frontier = true
-		}
-		for _, e := range g.Edges[s] {
-			if e.Label.Observable() && e.Label.Key() == labelKey {
-				out = append(out, closure[e.To]...)
-			}
-		}
-	}
-	return dedup(out), frontier
-}
-
-// tauClosures computes, for every state, the sorted set of states reachable
-// by zero or more internal transitions.
-func tauClosures(g *lts.Graph) [][]int {
-	out := make([][]int, g.NumStates())
-	for s := range out {
-		seen := map[int]bool{s: true}
-		stack := []int{s}
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, e := range g.Edges[cur] {
-				if e.Label.Kind == lts.LInternal && !seen[e.To] {
-					seen[e.To] = true
-					stack = append(stack, e.To)
-				}
-			}
-		}
-		cl := make([]int, 0, len(seen))
-		for st := range seen {
-			cl = append(cl, st)
-		}
-		sort.Ints(cl)
-		out[s] = cl
-	}
-	return out
-}
-
-// push appends a product node unless its (state, refSet, obs) signature was
-// already visited.
-func push(nodes *[]witnessNode, visited map[string]bool, n witnessNode, maxObs int) {
-	k := nodeKey(n.state, n.refKey, n.obs, maxObs)
-	if visited[k] {
-		return
-	}
-	visited[k] = true
-	*nodes = append(*nodes, n)
-}
-
-// nodeKey builds the visited signature. The observable count participates
-// only under a bound: with maxObs = 0 the judgement of a node is independent
-// of how many observables led to it, and folding obs into the key would
-// blow the search up for cyclic graphs.
-func nodeKey(state int, refKey string, obs, maxObs int) string {
-	if maxObs <= 0 {
-		obs = 0
-	}
-	return strconv.Itoa(state) + "\x00" + refKey + "\x00" + strconv.Itoa(obs)
-}
-
-// unwindNodes reconstructs the path to nodes[head] and appends the final
-// divergent edge.
-func unwindNodes(nodes []witnessNode, head int, last lts.Edge) []lts.PathStep {
+// unwindNodes reconstructs the path from the root to nodes[head].
+func unwindNodes(nodes []witnessNode, head int) []lts.PathStep {
 	var rev []lts.PathStep
-	rev = append(rev, lts.PathStep{From: nodes[head].state, Edge: last})
 	for at := head; nodes[at].parent >= 0; at = nodes[at].parent {
 		rev = append(rev, lts.PathStep{From: nodes[nodes[at].parent].state, Edge: nodes[at].edge})
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
+	slices.Reverse(rev)
 	return rev
-}
-
-// intSetKey renders a sorted int set canonically.
-func intSetKey(xs []int) string {
-	var b strings.Builder
-	for _, x := range xs {
-		b.WriteByte(',')
-		b.WriteString(strconv.Itoa(x))
-	}
-	return b.String()
 }

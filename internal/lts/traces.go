@@ -2,7 +2,6 @@ package lts
 
 import (
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -16,116 +15,29 @@ const TraceSep = " "
 //
 // The empty trace is always included (as the empty string).
 func WeakTraces(g *Graph, maxLen int) []string {
-	set := map[string]bool{"": true}
-
-	// stateSet-based BFS over determinized weak transitions would be
-	// exponential in the worst case; trace enumeration is bounded by maxLen
-	// so a direct memoized walk over (state, prefix) suffices here. To keep
-	// the walk finite we track visited (state, depth) pairs per prefix via
-	// iterative deepening on the ε-closure graph.
-	closure := epsilonClosures(g)
-
-	type item struct {
-		states []int
-		prefix string
-		depth  int
-	}
-	seen := map[string]bool{}
-	start := closure[0]
-	queue := []item{{states: start, prefix: "", depth: 0}}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		if it.depth >= maxLen {
-			continue
+	s := NewSubsets(g)
+	var out []string
+	var walk func(n int32, trace string, depth int)
+	walk = func(n int32, trace string, depth int) {
+		out = append(out, trace)
+		if depth >= maxLen {
+			return
 		}
-		// Group successors by observable label.
-		byLabel := map[string][]int{}
-		names := map[string]string{}
-		for _, s := range it.states {
-			for _, e := range g.Edges[s] {
-				if !e.Label.Observable() {
-					continue
-				}
-				k := e.Label.Key()
-				byLabel[k] = append(byLabel[k], closure[e.To]...)
-				names[k] = e.Label.String()
-			}
-		}
-		keys := make([]string, 0, len(byLabel))
-		for k := range byLabel {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			prefix := it.prefix
-			if prefix != "" {
-				prefix += TraceSep
-			}
-			prefix += names[k]
-			set[prefix] = true
-			targets := dedupInts(byLabel[k])
-			sig := prefix + "\x00" + intsKey(targets)
-			if seen[sig] {
-				continue
-			}
-			seen[sig] = true
-			queue = append(queue, item{states: targets, prefix: prefix, depth: it.depth + 1})
+		for _, st := range s.Succ(n) {
+			walk(st.To, AppendTrace(trace, st.Label), depth+1)
 		}
 	}
-	out := make([]string, 0, len(set))
-	for tr := range set {
-		out = append(out, tr)
-	}
+	walk(0, "", 0)
 	sort.Strings(out)
 	return out
 }
 
-// epsilonClosures returns, for every state, the set of states reachable by
-// zero or more internal transitions (sorted).
-func epsilonClosures(g *Graph) [][]int {
-	out := make([][]int, len(g.States))
-	for s := range g.States {
-		visited := map[int]bool{s: true}
-		stack := []int{s}
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, e := range g.Edges[cur] {
-				if e.Label.Kind == LInternal && !visited[e.To] {
-					visited[e.To] = true
-					stack = append(stack, e.To)
-				}
-			}
-		}
-		cl := make([]int, 0, len(visited))
-		for st := range visited {
-			cl = append(cl, st)
-		}
-		sort.Ints(cl)
-		out[s] = cl
+// AppendTrace extends a rendered trace by one label.
+func AppendTrace(trace, label string) string {
+	if trace == "" {
+		return label
 	}
-	return out
-}
-
-func dedupInts(xs []int) []int {
-	sort.Ints(xs)
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func intsKey(xs []int) string {
-	var b strings.Builder
-	for _, x := range xs {
-		b.WriteByte(',')
-		b.WriteString(strconv.Itoa(x))
-	}
-	return b.String()
+	return trace + TraceSep + label
 }
 
 // AcceptsTrace reports whether the given observable trace (labels rendered
@@ -133,33 +45,21 @@ func intsKey(xs []int) string {
 // trace of the graph. For a truncated graph a false result may be spurious;
 // true results are always sound.
 func AcceptsTrace(g *Graph, trace string) bool {
-	closure := epsilonClosures(g)
-	current := closure[0]
 	if trace == "" {
 		return true
 	}
+	s := NewSubsets(g)
+	n := int32(0)
 	for _, want := range strings.Split(trace, TraceSep) {
-		var next []int
-		for _, s := range current {
-			for _, e := range g.Edges[s] {
-				if e.Label.Observable() && e.Label.String() == want {
-					next = append(next, closure[e.To]...)
-				}
-			}
-		}
-		if len(next) == 0 {
+		if n = s.Next(n, want); n < 0 {
 			return false
 		}
-		current = dedupInts(next)
 	}
 	return true
 }
 
-// TraceSlice is a parsed observable trace.
-type TraceSlice []string
-
 // ParseTrace splits a rendered trace into labels.
-func ParseTrace(tr string) TraceSlice {
+func ParseTrace(tr string) []string {
 	if tr == "" {
 		return nil
 	}

@@ -27,12 +27,7 @@ func CheckTrace(service *lotos.Spec, res *Result, maxStates int) error {
 		return fmt.Errorf("sim: observed trace %q is not a service trace", trace)
 	}
 	if res.Completed {
-		withDelta := trace
-		if withDelta != "" {
-			withDelta += lts.TraceSep
-		}
-		withDelta += "delta"
-		if !lts.AcceptsTrace(g, withDelta) {
+		if !lts.AcceptsTrace(g, lts.AppendTrace(trace, "delta")) {
 			return fmt.Errorf("sim: run terminated but service cannot terminate after %q", trace)
 		}
 	}

@@ -194,12 +194,7 @@ func Check(service *lotos.Spec, logs map[int]*wire.EntityLog, maxStates int) (*R
 	}
 	trace := lts.JoinTrace(rep.Trace)
 	rep.TraceAccepted = lts.AcceptsTrace(g, trace)
-	withDelta := trace
-	if withDelta != "" {
-		withDelta += lts.TraceSep
-	}
-	withDelta += "delta"
-	deltaOK := lts.AcceptsTrace(g, withDelta)
+	deltaOK := lts.AcceptsTrace(g, lts.AppendTrace(trace, "delta"))
 
 	switch {
 	case !rep.TraceAccepted:

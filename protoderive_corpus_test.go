@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/lotos"
+	"repro/internal/lts"
 )
 
 func corpusFiles(t testing.TB) []string {
@@ -164,5 +167,43 @@ func requireNotInternal(t *testing.T, err error) {
 	t.Helper()
 	if strings.Contains(err.Error(), "internal error") {
 		t.Fatalf("recovered panic escaped as error: %v", err)
+	}
+}
+
+// TestBarrierSpecHeaderClaims checks the claims of specs/barrier.spec's
+// header comment against its service LTS, explored to closure: place 4
+// fires after any one arm ("a1 s4 d4" is a trace), the LTS has three
+// deadlocks, and no trace extends by delta.
+func TestBarrierSpecHeaderClaims(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("specs", "barrier.spec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := lotos.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := lts.ExploreSpec(sp, lts.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Truncated {
+		t.Fatal("barrier service LTS truncated")
+	}
+	if !lts.AcceptsTrace(g, "a1 s4 d4") {
+		t.Error(`"a1 s4 d4" is not a service trace`)
+	}
+	if n := len(g.Deadlocks()); n != 3 {
+		t.Errorf("service LTS has %d deadlocks, want 3", n)
+	}
+	// The longest trace has five labels (three arms, one s4, d4).
+	traces := lts.WeakTraces(g, 8)
+	for _, tr := range traces {
+		if lts.AcceptsTrace(g, lts.AppendTrace(tr, "delta")) {
+			t.Errorf("delta reachable after %q", tr)
+		}
+	}
+	if !lts.AcceptsTrace(g, "b2 c3 s4 d4 a1") {
+		t.Error("the arms do not interleave freely")
 	}
 }

@@ -61,9 +61,6 @@ func renderGoldenMatrix(t *testing.T) string {
 // file and run this test once: it writes the file and fails, asking for a
 // re-run.
 func TestCorpusVerifyGoldenMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full corpus fault matrix at CLI defaults")
-	}
 	got := renderGoldenMatrix(t)
 	want, err := os.ReadFile(goldenMatrixFile)
 	if os.IsNotExist(err) {
