@@ -23,9 +23,12 @@ test:
 # check is the concurrency tier: vet plus the race detector over the
 # packages that exercise goroutines (the runtime, the medium, the parallel
 # explorer and the daemon), plus a short fuzz smoke of the two native
-# fuzz targets.
+# fuzz targets. It also vets and tests the benchmark module, a module of
+# its own that `./...` does not reach but that imports the compose, lts and
+# equiv APIs.
 check:
 	$(GO) vet ./...
+	$(GO) -C benchmark vet . && $(GO) -C benchmark test .
 	$(GO) test -race ./internal/sim/ ./internal/medium/ ./internal/compose/ ./internal/lts/ ./internal/service/ ./cmd/pgd/
 	$(MAKE) fault-matrix-smoke
 	$(MAKE) compositional-smoke

@@ -402,22 +402,17 @@ func BenchmarkReductionAblation(b *testing.B) {
 	}
 }
 
-// --- exploration ablation: key encoding × serial/parallel ----------------------------
+// --- exploration ablation: serial/parallel ------------------------------------------
 
-// exploreBenchConfigs are the three exploration configurations compared by
-// the ablation benchmarks: the legacy serial explorer with string keys, the
-// serial explorer with the compact binary keys, and the parallel explorer
-// (binary keys). On a multi-core runner the parallel/binary configuration
-// is expected to beat serial/string by >= 2x on the largest corpus specs;
-// serial/binary isolates how much of that comes from the key encoding.
+// exploreBenchConfigs are the two exploration configurations compared by the
+// ablation benchmarks: the serial explorer and the level-synchronous
+// parallel explorer, both with the binary state keys.
 var exploreBenchConfigs = []struct {
 	name     string
 	parallel bool
-	strKeys  bool
 }{
-	{"serial-string", false, true},
-	{"serial-binary", false, false},
-	{"parallel-binary", true, false},
+	{"serial-binary", false},
+	{"parallel-binary", true},
 }
 
 func benchExplore(b *testing.B, entities map[int]*lotos.Spec, cfg compose.Config) {
@@ -438,7 +433,7 @@ func benchExplore(b *testing.B, entities map[int]*lotos.Spec, cfg compose.Config
 }
 
 // BenchmarkExploreCorpusAblation explores every specs/ corpus entry under
-// the three configurations. The multiinstance spec is the largest (about
+// both configurations. The multiinstance spec is the largest (about
 // 117k states at this bound) and dominates the comparison.
 func BenchmarkExploreCorpusAblation(b *testing.B) {
 	files, err := filepath.Glob(filepath.Join("specs", "*.spec"))
@@ -459,9 +454,8 @@ func BenchmarkExploreCorpusAblation(b *testing.B) {
 		for _, cfg := range exploreBenchConfigs {
 			b.Run(base+"/"+cfg.name, func(b *testing.B) {
 				benchExplore(b, d.Entities, compose.Config{
-					Limits:     lim,
-					Parallel:   cfg.parallel,
-					StringKeys: cfg.strKeys,
+					Limits:   lim,
+					Parallel: cfg.parallel,
 				})
 			})
 		}
@@ -482,9 +476,8 @@ func BenchmarkExplorePlacesSweep(b *testing.B) {
 		for _, cfg := range exploreBenchConfigs {
 			b.Run(fmt.Sprintf("n=%d/%s", n, cfg.name), func(b *testing.B) {
 				benchExplore(b, d.Entities, compose.Config{
-					Limits:     lim,
-					Parallel:   cfg.parallel,
-					StringKeys: cfg.strKeys,
+					Limits:   lim,
+					Parallel: cfg.parallel,
 				})
 			})
 		}

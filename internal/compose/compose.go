@@ -27,7 +27,10 @@
 // order, so the key of a global state is identical no matter which
 // exploration order — serial or parallel — first reached it. Entity-local
 // states and messages are interned to small integers per System, so queue
-// operations and equality checks never allocate or compare strings.
+// operations and equality checks never allocate or compare strings, and a
+// global state packs into one pointer-free []int32 (see gstate). Key
+// encoding works in scratch memory owned by one derivation, so keying a
+// state allocates only the key string.
 package compose
 
 import (
@@ -35,8 +38,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -74,12 +75,6 @@ type Config struct {
 	// Workers sizes the parallel explorer's worker pool (0 = GOMAXPROCS).
 	// Ignored unless Parallel is set.
 	Workers int
-	// StringKeys selects the legacy human-readable string state keys
-	// instead of the binary digests — slower and allocation-heavy; kept
-	// for the key-encoding ablation benchmark and for debugging. String
-	// keys embed per-run interned ids, so they are not comparable across
-	// System instances.
-	StringKeys bool
 	// Faults composes medium faults — message loss, duplication, adjacent
 	// reordering — into the product as internal medium transitions. The
 	// zero value is the paper's reliable medium. See FaultModel.
@@ -120,13 +115,13 @@ type System struct {
 	// systems: every distinct entity expression gets a small integer id
 	// per place, local transitions are derived once per local state, and
 	// messages are interned to small integers per system.
-	mu     sync.RWMutex
-	intern []map[string]int32 // place idx -> canon -> local id
-	local  [][]localState     // place idx -> local id -> state
-	msgIDs  map[message]int32 // message -> id
-	msgs    []message         // id -> message (diagnostics, string keys)
-	msgSum  [][16]byte        // id -> content digest
-	msgMeta []msgMeta         // id -> symmetry classification (sym != nil only)
+	mu      sync.RWMutex
+	intern  []map[string]int32 // place idx -> canon -> local id
+	local   [][]localState     // place idx -> local id -> state
+	msgIDs  map[message]int32  // message -> id
+	msgs    []message          // id -> message (diagnostics)
+	msgSum  [][16]byte         // id -> content digest
+	msgMeta []msgMeta          // id -> symmetry classification (sym != nil only)
 }
 
 // localState is one interned entity-local state. Transitions are derived
@@ -284,9 +279,8 @@ func New(entities map[int]*lotos.Spec, cfg Config) (*System, error) {
 	}
 	// Symmetry must be detected before any state or message is interned:
 	// the canonical column digests and message classifications are computed
-	// at intern time. String keys embed raw interned ids and cannot be
-	// canonicalized, so symmetry stays off under StringKeys.
-	if sys.red&RedSymmetry != 0 && !cfg.StringKeys {
+	// at intern time.
+	if sys.red&RedSymmetry != 0 {
 		sys.sym = detectSymmetry(sys.Places, entities)
 	}
 	return sys, nil
@@ -312,7 +306,8 @@ func flushingRecv(ev lotos.Event) bool {
 }
 
 // consumeIDs returns the channel contents after consuming the wanted
-// message, honouring flush semantics, or ok=false when not consumable.
+// message, honouring flush semantics, or ok=false when not consumable. The
+// rest aliases q.
 func consumeIDs(q []int32, want int32, flush bool) (rest []int32, ok bool) {
 	if len(q) == 0 {
 		return nil, false
@@ -321,11 +316,11 @@ func consumeIDs(q []int32, want int32, flush bool) (rest []int32, ok bool) {
 		if q[0] != want {
 			return nil, false
 		}
-		return append([]int32(nil), q[1:]...), true
+		return q[1:], true
 	}
 	for i, m := range q {
 		if m == want {
-			return append([]int32(nil), q[i+1:]...), true
+			return q[i+1:], true
 		}
 	}
 	return nil, false
@@ -338,29 +333,111 @@ func (m message) String() string {
 	return fmt.Sprintf("%d#%s", m.Node, m.Occ)
 }
 
-// gstate is one global state: the interned local-state ids of the entities
-// (indexed like Places) and the channel contents as interned message-id
-// queues, indexed by channel slot fromIdx*n + toIdx.
-type gstate struct {
-	locals []int32
-	chans  [][]int32
+// gstate is one global state packed into a single pointer-free slice: the
+// interned local-state ids of the n entities (indexed like Places), then one
+// record per non-empty channel in ascending slot order — the slot
+// fromIdx*n + toIdx, the queue length, and the queued message ids. Empty
+// channels have no record, so equal states pack to equal slices. An emitted
+// state is never mutated: every successor is a fresh copy.
+type gstate []int32
+
+// channel decodes the channel record starting at pos (records start at n
+// and the next one starts at pos+2+len(q)).
+func (g gstate) channel(pos int) (slot int, q []int32) {
+	return int(g[pos]), g[pos+2 : pos+2+int(g[pos+1])]
 }
 
-// key builds the canonical global state key. Under symmetry reduction the
-// key identifies the state's permutation orbit (see canonKeyLocked), falling
-// back to the identity key for states no column permutation applies to.
-func (s *System) key(g *gstate) string {
+// queue returns the message ids queued on a channel slot (nil when empty).
+func (g gstate) queue(n, slot int) []int32 {
+	for pos := n; pos < len(g); pos += 2 + int(g[pos+1]) {
+		if s, q := g.channel(pos); s == slot {
+			return q
+		}
+	}
+	return nil
+}
+
+// withLocal copies the state with one entity's local state replaced.
+func (g gstate) withLocal(idx int, id int32) gstate {
+	out := make(gstate, len(g))
+	copy(out, g)
+	out[idx] = id
+	return out
+}
+
+// withQueue copies the state with the queue of one channel slot replaced by
+// q, which may alias g: the slot's record is rewritten, inserted in slot
+// order, or dropped when q is empty.
+func (g gstate) withQueue(n, slot int, q []int32) gstate {
+	at := n // start of the slot's record, or of the first record past it
+	for at < len(g) && int(g[at]) < slot {
+		at += 2 + int(g[at+1])
+	}
+	end := at
+	if at < len(g) && int(g[at]) == slot {
+		end += 2 + int(g[at+1])
+	}
+	size := at + len(g) - end
+	if len(q) > 0 {
+		size += 2 + len(q)
+	}
+	out := make(gstate, size)
+	w := copy(out, g[:at])
+	if len(q) > 0 {
+		out[w], out[w+1] = int32(slot), int32(len(q))
+		w += 2 + copy(out[w+2:], q)
+	}
+	copy(out[w:], g[end:])
+	return out
+}
+
+// scratch is the working memory of one derive call: the key encoder's input
+// buffer and symmetry tables, the state's local transitions, and the
+// transitions, successor queue and δ targets under construction. derive
+// takes one from scratchPool and puts it back when it returns, so no two
+// goroutines ever share one.
+type scratch struct {
+	buf   []byte              // key digest input
+	trans [][]cachedTrans     // place idx -> local transitions of the state
+	out   []lts.GenTransition // emitted transitions
+	queue []int32             // successor channel queue
+	delta []int32             // δ targets, indexed like Places
+	sigs  [][]byte            // column -> canonical sort signature
+	order []int               // canonical position -> column
+	rank  []int               // column -> canonical position
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// putScratch returns a scratch to the pool without its references into the
+// system's tables and the emitted states, so a pooled scratch keeps nothing
+// alive.
+func putScratch(sc *scratch) {
+	clear(sc.trans)
+	clear(sc.out)
+	sc.out = sc.out[:0]
+	scratchPool.Put(sc)
+}
+
+// key builds the canonical global state key under the read lock (see
+// keyLocked).
+func (s *System) key(g gstate, sc *scratch) string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.cfg.StringKeys {
-		return s.stringKeyLocked(g)
-	}
+	return s.keyLocked(g, sc)
+}
+
+// keyLocked builds the canonical global state key. Under symmetry reduction
+// the key identifies the state's permutation orbit (see canonKeyLocked),
+// falling back to the identity key for states no column permutation applies
+// to. The returned string is the only allocation. Caller holds s.mu (read).
+func (s *System) keyLocked(g gstate, sc *scratch) string {
 	if s.sym != nil {
-		if k, ok := s.canonKeyLocked(g); ok {
+		if k, ok := s.canonKeyLocked(g, sc); ok {
 			return k
 		}
 	}
-	return s.binaryKeyLocked(g)
+	return s.binaryKeyLocked(g, sc)
 }
 
 // binaryKeyLocked assembles the fixed-layout binary key: one 16-byte local
@@ -369,71 +446,23 @@ func (s *System) key(g *gstate) string {
 // 16-byte digest. The layout is unambiguous (fixed-size digest blocks,
 // explicit lengths, channels in ascending slot order), so distinct global
 // states never share a key input.
-func (s *System) binaryKeyLocked(g *gstate) string {
-	buf := make([]byte, 0, 512)
-	for idx, id := range g.locals {
-		sum := &s.local[idx][id].sum
-		buf = append(buf, sum[:]...)
+func (s *System) binaryKeyLocked(g gstate, sc *scratch) string {
+	n := len(s.Places)
+	buf := sc.buf[:0]
+	for idx, id := range g[:n] {
+		buf = append(buf, s.local[idx][id].sum[:]...)
 	}
-	for slot, q := range g.chans {
-		if len(q) == 0 {
-			continue
-		}
+	for pos := n; pos < len(g); pos += 2 + int(g[pos+1]) {
+		slot, q := g.channel(pos)
 		buf = binary.AppendUvarint(buf, uint64(slot)+1)
 		buf = binary.AppendUvarint(buf, uint64(len(q)))
 		for _, mid := range q {
-			sum := &s.msgSum[mid]
-			buf = append(buf, sum[:]...)
+			buf = append(buf, s.msgSum[mid][:]...)
 		}
 	}
-	sum := sha256.Sum256(buf)
-	return string(sum[:16])
-}
-
-// stringKeyLocked is the legacy human-readable key encoding, kept for the
-// key-encoding ablation benchmark and for debugging. Message renderings are
-// length-prefixed and kind-tagged so the historical collisions (a tag
-// containing a separator or shaped like "node#occ") cannot merge distinct
-// states, but the encoding still pays the fmt/strings allocation cost the
-// binary keys avoid.
-func (s *System) stringKeyLocked(g *gstate) string {
-	var b strings.Builder
-	for i, id := range g.locals {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		b.WriteString(strconv.Itoa(int(id)))
-	}
-	for slot, q := range g.chans {
-		if len(q) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, ";%d=", slot)
-		for _, mid := range q {
-			m := s.msgs[mid]
-			if m.Tag != "" {
-				fmt.Fprintf(&b, "t%d:%s,", len(m.Tag), m.Tag)
-			} else {
-				fmt.Fprintf(&b, "m%d#%d:%s,", m.Node, len(m.Occ), m.Occ)
-			}
-		}
-	}
-	return b.String()
-}
-
-// clone copies the state with one entity local state replaced. The channel
-// queues are shared (only cloneChans callers mutate them).
-func (g *gstate) clone(idx int, localID int32) *gstate {
-	out := &gstate{locals: append([]int32(nil), g.locals...), chans: g.chans}
-	out.locals[idx] = localID
-	return out
-}
-
-// cloneChans additionally copies the channel slot table for mutation.
-func (g *gstate) cloneChans(idx int, localID int32) *gstate {
-	out := g.clone(idx, localID)
-	out.chans = append([][]int32(nil), g.chans...)
-	return out
+	sc.buf = buf
+	sum := digest16(buf)
+	return string(sum[:])
 }
 
 // source implements lts.StateSource over the product system. Next is safe
@@ -444,16 +473,33 @@ type source struct {
 
 // Next derives all global transitions of a product state.
 func (src *source) Next(state any) ([]lts.GenTransition, error) {
-	out, _, err := src.sys.derive(state.(*gstate), false)
+	out, _, err := src.sys.derive(state.(gstate), false)
 	return out, err
 }
 
-// msgString renders an interned message for diagnostics, under the lock (the
-// msgs slice header moves when another goroutine interns a new message).
-func (s *System) msgString(id int32) string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.msgs[id].String()
+// successors collects the transitions derive emits in its scratch, with
+// their witness annotations when requested (index-aligned with them).
+type successors struct {
+	sys      *System
+	sc       *scratch
+	annotate bool
+	steps    []WitnessStep
+}
+
+// emit appends one transition to the successor state next.
+func (e *successors) emit(l lts.Label, next gstate, st WitnessStep) {
+	e.sc.out = append(e.sc.out, lts.GenTransition{Label: l, Key: e.sys.keyLocked(next, e.sc), To: next})
+	if e.annotate {
+		e.steps = append(e.steps, st)
+	}
+}
+
+// result copies the emitted transitions out of the scratch into one slice of
+// exactly their number.
+func (e *successors) result() ([]lts.GenTransition, []WitnessStep, error) {
+	out := make([]lts.GenTransition, len(e.sc.out))
+	copy(out, e.sc.out)
+	return out, e.steps, nil
 }
 
 // derive computes the global transitions of a product state:
@@ -473,16 +519,17 @@ func (s *System) msgString(id int32) string {
 // concrete description (acting entity, local transition index, channel,
 // message, fault) used to build replayable counterexamples. The two slices
 // are index-aligned.
-func (s *System) derive(g *gstate, annotate bool) ([]lts.GenTransition, []WitnessStep, error) {
+//
+// Each successor costs its packed state, the interface box carrying it and
+// its key string, and the result is one exactly sized slice; everything
+// else lives in a pooled scratch owned by this call. The moves are emitted
+// under one read lock: keys and message renderings read interning tables
+// that other workers may grow.
+func (s *System) derive(g gstate, annotate bool) ([]lts.GenTransition, []WitnessStep, error) {
 	n := len(s.Places)
-	var out []lts.GenTransition
-	var steps []WitnessStep
-	emit := func(t lts.GenTransition, st WitnessStep) {
-		out = append(out, t)
-		if annotate {
-			steps = append(steps, st)
-		}
-	}
+	sc := scratchPool.Get().(*scratch)
+	defer putScratch(sc)
+	e := &successors{sys: s, sc: sc, annotate: annotate}
 
 	// Ample-set partial-order reduction: if one entity's complete local
 	// transition set qualifies as an ample set, fire exactly those
@@ -510,130 +557,135 @@ func (s *System) derive(g *gstate, annotate bool) ([]lts.GenTransition, []Witnes
 	// or duplicating the message it would consume leads elsewhere), so the
 	// all-receives shape additionally requires its channels fault-free;
 	// the sole-internal shape stays eligible under every fault model.
-	if s.red&RedPOR != 0 {
-	ample:
-		for idx, localID := range g.locals {
-			ts, err := s.localTrans(idx, localID)
-			if err != nil {
-				return nil, nil, fmt.Errorf("entity %d: %w", s.Places[idx], err)
-			}
-			if len(ts) == 0 {
-				continue
-			}
-			if len(ts) == 1 && ts[0].label.Kind == lts.LInternal {
-				t := ts[0]
-				next := g.clone(idx, t.to)
-				emit(lts.GenTransition{Label: lts.Internal(), Key: s.key(next), To: next},
-					WitnessStep{Kind: StepInternal, Place: s.Places[idx], TIndex: 0, Label: "i"})
-				s.ampleHits.Add(1)
-				return out, steps, nil
-			}
-			for _, t := range ts {
-				if t.label.Kind != lts.LEvent || t.label.Ev.Kind != lotos.EvRecv {
-					continue ample
-				}
-			}
-			rests := make([][]int32, len(ts))
-			for i, t := range ts {
-				slot := int(t.peer)*n + idx
-				if !s.channelFaultFree(slot) {
-					continue ample
-				}
-				rest, ok := consumeIDs(g.chans[slot], t.msg, t.flush)
-				if !ok {
-					continue ample // a blocked receive disqualifies the whole set
-				}
-				rests[i] = rest
-			}
-			for i, t := range ts {
-				slot := int(t.peer)*n + idx
-				next := g.cloneChans(idx, t.to)
-				next.chans[slot] = rests[i]
-				var st WitnessStep
-				if annotate {
-					st = s.recvStep(idx, i, t)
-				}
-				emit(lts.GenTransition{Label: lts.Internal(), Key: s.key(next), To: next}, st)
-			}
-			s.ampleHits.Add(1)
-			return out, steps, nil
-		}
-	}
-
-	deltaReady := 0
-	deltaTargets := make([]int32, len(g.locals))
-	for idx, localID := range g.locals {
+	//
+	// The local transitions are fetched entity by entity, stopping at the
+	// first ample set, so an ample state never derives the later entities.
+	trans := sc.trans[:0]
+	ampleIdx := -1
+	for idx, localID := range g[:n] {
 		ts, err := s.localTrans(idx, localID)
 		if err != nil {
 			return nil, nil, fmt.Errorf("entity %d: %w", s.Places[idx], err)
 		}
-		sawDelta := false
-		for i, t := range ts {
-			switch t.label.Kind {
-			case lts.LDelta:
-				if !sawDelta {
-					sawDelta = true
-					deltaReady++
-					deltaTargets[idx] = t.to
-				}
-			case lts.LInternal:
-				next := g.clone(idx, t.to)
-				emit(lts.GenTransition{Label: lts.Internal(), Key: s.key(next), To: next},
-					WitnessStep{Kind: StepInternal, Place: s.Places[idx], TIndex: i, Label: "i"})
-			case lts.LEvent:
-				ev := t.label.Ev
-				switch ev.Kind {
-				case lotos.EvService:
-					next := g.clone(idx, t.to)
-					emit(lts.GenTransition{Label: t.label, Key: s.key(next), To: next},
-						WitnessStep{Kind: StepService, Place: s.Places[idx], TIndex: i, Ev: ev, Label: ev.String()})
-				case lotos.EvSend:
-					slot := idx*n + int(t.peer)
-					q := g.chans[slot]
-					if len(q) >= s.cfg.ChannelCap {
-						continue // channel full: the send blocks
-					}
-					next := g.cloneChans(idx, t.to)
-					nq := make([]int32, len(q)+1)
-					copy(nq, q)
-					nq[len(q)] = t.msg
-					next.chans[slot] = nq
-					var st WitnessStep
-					if annotate {
-						msg := s.msgString(t.msg)
-						st = WitnessStep{
-							Kind: StepSend, Place: s.Places[idx], TIndex: i, Ev: ev,
-							From: s.Places[idx], To: s.Places[int(t.peer)], Msg: msg,
-							Label: fmt.Sprintf("send %d->%d %s", s.Places[idx], s.Places[int(t.peer)], msg),
-						}
-					}
-					emit(lts.GenTransition{Label: lts.Internal(), Key: s.key(next), To: next}, st)
-				case lotos.EvRecv:
-					slot := int(t.peer)*n + idx
-					rest, ok := consumeIDs(g.chans[slot], t.msg, t.flush)
-					if !ok {
-						continue // no matching message consumable
-					}
-					next := g.cloneChans(idx, t.to)
-					next.chans[slot] = rest
-					var st WitnessStep
-					if annotate {
-						st = s.recvStep(idx, i, t)
-					}
-					emit(lts.GenTransition{Label: lts.Internal(), Key: s.key(next), To: next}, st)
-				}
+		trans = append(trans, ts)
+		if s.red&RedPOR != 0 && s.ample(g, idx, ts) {
+			ampleIdx = idx
+			break
+		}
+	}
+	sc.trans = trans
+
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if ampleIdx >= 0 {
+		s.entityMoves(e, g, ampleIdx, trans[ampleIdx])
+		s.ampleHits.Add(1)
+		return e.result()
+	}
+	for idx, ts := range trans {
+		s.entityMoves(e, g, idx, ts)
+	}
+	delta := sc.delta[:0]
+	for _, ts := range trans {
+		for i := range ts {
+			if ts[i].label.Kind == lts.LDelta {
+				delta = append(delta, ts[i].to)
+				break
 			}
 		}
 	}
-	if deltaReady == len(g.locals) && len(g.locals) > 0 {
-		next := &gstate{locals: deltaTargets, chans: g.chans}
-		emit(lts.GenTransition{Label: lts.Delta(), Key: s.key(next), To: next},
-			WitnessStep{Kind: StepDelta, Place: -1, TIndex: -1, Label: "delta"})
+	sc.delta = delta
+	if len(delta) == n && n > 0 {
+		next := append(gstate(nil), g...)
+		copy(next, delta)
+		e.emit(lts.Delta(), next, WitnessStep{Kind: StepDelta, Place: -1, TIndex: -1, Label: "delta"})
 	}
 	if s.cfg.Faults.Any() {
-		s.faultMoves(g, annotate, emit)
+		s.faultMoves(e, g)
 	}
-	return out, steps, nil
+	return e.result()
+}
+
+// ample reports whether entity idx's local transitions ts form an ample set
+// in state g (see derive): a sole internal action, or receives that are all
+// consumable right now on fault-free channels.
+func (s *System) ample(g gstate, idx int, ts []cachedTrans) bool {
+	if len(ts) == 0 {
+		return false
+	}
+	if len(ts) == 1 && ts[0].label.Kind == lts.LInternal {
+		return true
+	}
+	n := len(s.Places)
+	for i := range ts {
+		t := &ts[i]
+		if t.label.Kind != lts.LEvent || t.label.Ev.Kind != lotos.EvRecv {
+			return false
+		}
+		slot := int(t.peer)*n + idx
+		if !s.channelFaultFree(slot) {
+			return false
+		}
+		if _, ok := consumeIDs(g.queue(n, slot), t.msg, t.flush); !ok {
+			return false // a blocked receive disqualifies the whole set
+		}
+	}
+	return true
+}
+
+// entityMoves emits the global moves of entity idx's local transitions ts,
+// in local order: internal actions, service primitives, sends with room on
+// their channel and consumable receives. δ is synchronized by derive.
+// Caller holds s.mu (read).
+func (s *System) entityMoves(e *successors, g gstate, idx int, ts []cachedTrans) {
+	n := len(s.Places)
+	for i := range ts {
+		t := &ts[i]
+		switch t.label.Kind {
+		case lts.LInternal:
+			e.emit(lts.Internal(), g.withLocal(idx, t.to),
+				WitnessStep{Kind: StepInternal, Place: s.Places[idx], TIndex: i, Label: "i"})
+		case lts.LEvent:
+			ev := t.label.Ev
+			switch ev.Kind {
+			case lotos.EvService:
+				e.emit(t.label, g.withLocal(idx, t.to),
+					WitnessStep{Kind: StepService, Place: s.Places[idx], TIndex: i, Ev: ev, Label: ev.String()})
+			case lotos.EvSend:
+				slot := idx*n + int(t.peer)
+				q := g.queue(n, slot)
+				if len(q) >= s.cfg.ChannelCap {
+					continue // channel full: the send blocks
+				}
+				e.sc.queue = append(append(e.sc.queue[:0], q...), t.msg)
+				next := g.withQueue(n, slot, e.sc.queue)
+				next[idx] = t.to
+				var st WitnessStep
+				if e.annotate {
+					msg := s.msgs[t.msg].String()
+					st = WitnessStep{
+						Kind: StepSend, Place: s.Places[idx], TIndex: i, Ev: ev,
+						From: s.Places[idx], To: s.Places[int(t.peer)], Msg: msg,
+						Label: fmt.Sprintf("send %d->%d %s", s.Places[idx], s.Places[int(t.peer)], msg),
+					}
+				}
+				e.emit(lts.Internal(), next, st)
+			case lotos.EvRecv:
+				slot := int(t.peer)*n + idx
+				rest, ok := consumeIDs(g.queue(n, slot), t.msg, t.flush)
+				if !ok {
+					continue // no matching message consumable
+				}
+				next := g.withQueue(n, slot, rest)
+				next[idx] = t.to
+				var st WitnessStep
+				if e.annotate {
+					st = s.recvStep(idx, i, t)
+				}
+				e.emit(lts.Internal(), next, st)
+			}
+		}
+	}
 }
 
 // channelFaultFree reports whether the medium applies no fault transitions
@@ -646,9 +698,10 @@ func (s *System) channelFaultFree(slot int) bool {
 	return !s.cfg.Faults.Any()
 }
 
-// recvStep builds the witness annotation of a receive transition.
-func (s *System) recvStep(idx, tIndex int, t cachedTrans) WitnessStep {
-	msg := s.msgString(t.msg)
+// recvStep builds the witness annotation of a receive transition. Caller
+// holds s.mu (read).
+func (s *System) recvStep(idx, tIndex int, t *cachedTrans) WitnessStep {
+	msg := s.msgs[t.msg].String()
 	return WitnessStep{
 		Kind: StepRecv, Place: s.Places[idx], TIndex: tIndex, Ev: t.label.Ev,
 		From: s.Places[int(t.peer)], To: s.Places[idx], Msg: msg,
@@ -656,59 +709,42 @@ func (s *System) recvStep(idx, tIndex int, t cachedTrans) WitnessStep {
 	}
 }
 
-// cloneFault copies the state with the channel table cloned for a medium
-// fault (entity locals are untouched and shared: every mutator of a locals
-// slice copies it first, so sharing is safe).
-func (g *gstate) cloneFault() *gstate {
-	return &gstate{locals: g.locals, chans: append([][]int32(nil), g.chans...)}
-}
-
 // faultMoves emits the medium's fault transitions of a state, one internal
 // transition per applicable (channel, position, fault) triple, in
 // deterministic order: channels by ascending slot; per channel loss, then
-// duplication, then reordering; per fault ascending queue position.
-func (s *System) faultMoves(g *gstate, annotate bool, emit func(lts.GenTransition, WitnessStep)) {
+// duplication, then reordering; per fault ascending queue position. Caller
+// holds s.mu (read).
+func (s *System) faultMoves(e *successors, g gstate) {
 	n := len(s.Places)
-	for slot, q := range g.chans {
-		if len(q) == 0 {
-			continue
-		}
+	for pos := n; pos < len(g); pos += 2 + int(g[pos+1]) {
+		slot, q := g.channel(pos)
 		fromP, toP := s.Places[slot/n], s.Places[slot%n]
 		if s.cfg.Faults.Loss {
 			for i := range q {
-				next := g.cloneFault()
-				nq := make([]int32, 0, len(q)-1)
-				nq = append(nq, q[:i]...)
-				nq = append(nq, q[i+1:]...)
-				next.chans[slot] = nq
+				e.sc.queue = append(append(e.sc.queue[:0], q[:i]...), q[i+1:]...)
 				var st WitnessStep
-				if annotate {
-					msg := s.msgString(q[i])
+				if e.annotate {
+					msg := s.msgs[q[i]].String()
 					st = WitnessStep{
 						Kind: StepLoss, Place: -1, TIndex: -1, From: fromP, To: toP, Msg: msg, Index: i,
 						Label: fmt.Sprintf("loss %d->%d %s@%d", fromP, toP, msg, i),
 					}
 				}
-				emit(lts.GenTransition{Label: lts.Internal(), Key: s.key(next), To: next}, st)
+				e.emit(lts.Internal(), g.withQueue(n, slot, e.sc.queue), st)
 			}
 		}
 		if s.cfg.Faults.Duplication && len(q) < s.cfg.ChannelCap {
 			for i := range q {
-				next := g.cloneFault()
-				nq := make([]int32, 0, len(q)+1)
-				nq = append(nq, q[:i+1]...)
-				nq = append(nq, q[i])
-				nq = append(nq, q[i+1:]...)
-				next.chans[slot] = nq
+				e.sc.queue = append(append(e.sc.queue[:0], q[:i+1]...), q[i:]...)
 				var st WitnessStep
-				if annotate {
-					msg := s.msgString(q[i])
+				if e.annotate {
+					msg := s.msgs[q[i]].String()
 					st = WitnessStep{
 						Kind: StepDuplicate, Place: -1, TIndex: -1, From: fromP, To: toP, Msg: msg, Index: i,
 						Label: fmt.Sprintf("dup %d->%d %s@%d", fromP, toP, msg, i),
 					}
 				}
-				emit(lts.GenTransition{Label: lts.Internal(), Key: s.key(next), To: next}, st)
+				e.emit(lts.Internal(), g.withQueue(n, slot, e.sc.queue), st)
 			}
 		}
 		if s.cfg.Faults.Reorder {
@@ -716,19 +752,18 @@ func (s *System) faultMoves(g *gstate, annotate bool, emit func(lts.GenTransitio
 				if q[i] == q[i+1] {
 					continue // swapping identical messages is a no-op
 				}
-				next := g.cloneFault()
-				nq := append([]int32(nil), q...)
+				nq := append(e.sc.queue[:0], q...)
 				nq[i], nq[i+1] = nq[i+1], nq[i]
-				next.chans[slot] = nq
+				e.sc.queue = nq
 				var st WitnessStep
-				if annotate {
+				if e.annotate {
 					st = WitnessStep{
 						Kind: StepReorder, Place: -1, TIndex: -1, From: fromP, To: toP,
-						Msg: s.msgString(q[i]), Index: i,
+						Msg: s.msgs[q[i]].String(), Index: i,
 						Label: fmt.Sprintf("reorder %d->%d @%d", fromP, toP, i),
 					}
 				}
-				emit(lts.GenTransition{Label: lts.Internal(), Key: s.key(next), To: next}, st)
+				e.emit(lts.Internal(), g.withQueue(n, slot, nq), st)
 			}
 		}
 	}
@@ -742,9 +777,10 @@ func (s *System) faultMoves(g *gstate, annotate bool, emit func(lts.GenTransitio
 // statistics become available through ReductionInfo.
 func (s *System) Explore() (*lts.Graph, error) {
 	root := s.rootState()
+	rootKey := s.key(root, new(scratch))
 	src := &source{sys: s}
 	if s.red&RedSpill != 0 {
-		g, st, err := lts.ExploreSourceSpill(src, s.key(root), root, s.cfg.Limits, lts.SpillConfig{
+		g, st, err := lts.ExploreSourceSpill(src, rootKey, root, s.cfg.Limits, lts.SpillConfig{
 			Budget: s.cfg.SpillBudget,
 			Dir:    s.cfg.SpillDir,
 		})
@@ -752,9 +788,9 @@ func (s *System) Explore() (*lts.Graph, error) {
 		return g, err
 	}
 	if s.cfg.Parallel {
-		return lts.ExploreSourceParallel(src, s.key(root), root, s.cfg.Limits, s.cfg.Workers)
+		return lts.ExploreSourceParallel(src, rootKey, root, s.cfg.Limits, s.cfg.Workers)
 	}
-	return lts.ExploreSource(src, s.key(root), root, s.cfg.Limits)
+	return lts.ExploreSource(src, rootKey, root, s.cfg.Limits)
 }
 
 // ExploreStatsOnly explores the product counting states without retaining
@@ -767,7 +803,7 @@ func (s *System) ExploreStatsOnly() (*lts.SpillStats, error) {
 	}
 	root := s.rootState()
 	src := &source{sys: s}
-	_, st, err := lts.ExploreSourceSpill(src, s.key(root), root, s.cfg.Limits, lts.SpillConfig{
+	_, st, err := lts.ExploreSourceSpill(src, s.key(root, new(scratch)), root, s.cfg.Limits, lts.SpillConfig{
 		Budget:    s.cfg.SpillBudget,
 		Dir:       s.cfg.SpillDir,
 		StatsOnly: true,
@@ -797,17 +833,15 @@ func (s *System) ReductionInfo() ReductionStats {
 
 // rootState builds the composed initial state: every entity at its root
 // expression, all channels empty.
-func (s *System) rootState() *gstate {
-	n := len(s.Places)
-	root := &gstate{chans: make([][]int32, n*n)}
+func (s *System) rootState() gstate {
+	root := make(gstate, len(s.Places))
 	if s.preset {
 		// Quotient graphs number their initial class 0.
-		root.locals = make([]int32, n)
 		return root
 	}
 	s.mu.Lock()
 	for idx, p := range s.Places {
-		root.locals = append(root.locals, s.internStateLocked(idx, s.Entities[p].Root.Expr))
+		root[idx] = s.internStateLocked(idx, s.Entities[p].Root.Expr)
 	}
 	s.mu.Unlock()
 	return root

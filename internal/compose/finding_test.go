@@ -1,7 +1,6 @@
 package compose
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -43,12 +42,9 @@ ENDSPEC`
 		t.Fatal(err)
 	}
 	for _, capacity := range []int{1, 2, 4} {
-		// StringKeys: the readable legacy keys let the test inspect the
-		// channel contents of the deadlocked states below.
 		sys, err := New(d.Entities, Config{
 			ChannelCap: capacity,
 			Limits:     lts.Limits{MaxObsDepth: 5, MaxStates: 400000},
-			StringKeys: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -65,11 +61,19 @@ ENDSPEC`
 		}
 		// Every deadlocked state has a non-empty channel (a message stuck
 		// behind the FIFO head); at capacity >= 2 the canonical witness has
-		// the interrupt message queued behind the Rel message. In the
-		// legacy string keys a non-empty channel renders as ";slot=msgs".
-		for _, s := range dls {
-			if !strings.Contains(g.Keys[s], ";") || !strings.Contains(g.Keys[s], "=") {
-				t.Errorf("cap=%d: deadlock state %q has empty channels", capacity, g.Keys[s])
+		// the interrupt message queued behind the Rel message. The concrete
+		// state is recovered by replaying the shortest path to it.
+		for _, dl := range dls {
+			path, ok := g.ShortestPathTo(func(st int) bool { return st == dl })
+			if !ok {
+				t.Fatalf("cap=%d: deadlock state %d unreachable", capacity, dl)
+			}
+			_, st, err := sys.replayPath(g, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st) == len(sys.Places) {
+				t.Errorf("cap=%d: deadlock state %d has empty channels", capacity, dl)
 			}
 		}
 	}

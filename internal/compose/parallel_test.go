@@ -123,22 +123,3 @@ func TestParallelExploreDeterministic(t *testing.T) {
 		t.Error("edges differ between identical parallel runs")
 	}
 }
-
-// TestStringKeysMatchBinaryKeysStructurally explores the same system under
-// both key encodings and checks they agree on the graph structure — the
-// encodings must merge exactly the same global states.
-func TestStringKeysMatchBinaryKeysStructurally(t *testing.T) {
-	d, err := core.Derive(lotos.MustParse("SPEC a1; b2; exit ||| c3; d1; exit ENDSPEC"), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := exploreCorpusSpec(t, d.Entities, Config{Limits: corpusLimits})
-	str := exploreCorpusSpec(t, d.Entities, Config{Limits: corpusLimits, StringKeys: true})
-	if bin.NumStates() != str.NumStates() || bin.NumTransitions() != str.NumTransitions() {
-		t.Errorf("key encodings disagree on graph size: binary %d/%d, string %d/%d",
-			bin.NumStates(), bin.NumTransitions(), str.NumStates(), str.NumTransitions())
-	}
-	if !equiv.WeakBisimilar(bin, str) {
-		t.Error("binary-key and string-key graphs are not weakly bisimilar")
-	}
-}

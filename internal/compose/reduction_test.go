@@ -142,25 +142,12 @@ func TestSymmetryDetectedAndSound(t *testing.T) {
 	}
 }
 
-// TestSymmetryConservativelyOff pins the cases where detection must refuse:
-// asymmetric operands, string-keyed debugging systems, and preset
-// (quotient-composed) systems.
+// TestSymmetryConservativelyOff pins a case where detection must refuse:
+// asymmetric operands.
 func TestSymmetryConservativelyOff(t *testing.T) {
 	sys, _ := exploreSrc(t, asymSrc, Config{Reductions: RedPOR.With(RedSymmetry), Limits: lts.Limits{MaxStates: 50000}})
 	if sys.sym != nil {
 		t.Error("symmetry detected on asymmetric operands")
-	}
-
-	d, err := core.Derive(lotos.MustParse(multiSrc), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	strSys, err := New(d.Entities, Config{Reductions: RedPOR.With(RedSymmetry), StringKeys: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strSys.sym != nil {
-		t.Error("symmetry active under StringKeys")
 	}
 }
 

@@ -3,7 +3,6 @@ package compose
 import (
 	"bytes"
 	"encoding/binary"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -539,31 +538,34 @@ func (sym *symmetry) classify(m message, plain [16]byte) msgMeta {
 // fails to decompose or any in-flight message mixes columns. Both properties
 // are invariant under column permutation, so mixing canonical and identity
 // keys within one exploration cannot merge or split an orbit incorrectly.
-// Caller holds s.mu (read).
-func (s *System) canonKeyLocked(g *gstate) (string, bool) {
-	sym := s.sym
-	k := sym.k
-	cols := make([][][16]byte, len(g.locals)) // place -> column -> digest
-	for idx, id := range g.locals {
-		sc := s.local[idx][id].symCols
-		if sc == nil {
+// All working memory is the caller's scratch. Caller holds s.mu (read).
+func (s *System) canonKeyLocked(g gstate, sc *scratch) (string, bool) {
+	k := s.sym.k
+	n := len(s.Places)
+	// cols gives the column digests of place idx's local state.
+	cols := func(idx int) [][16]byte { return s.local[idx][g[idx]].symCols }
+	for idx := range n {
+		if cols(idx) == nil {
 			return "", false
 		}
-		cols[idx] = sc
 	}
 	// Per-column signatures: local digests at every place, then the queue
 	// footprint (slot, position, normalized content) of the column's
 	// in-flight messages.
-	sigs := make([][]byte, k)
-	for c := 0; c < k; c++ {
-		sig := make([]byte, 0, len(g.locals)*16+16)
-		for idx := range g.locals {
-			sig = append(sig, cols[idx][c][:]...)
+	for len(sc.sigs) < k {
+		sc.sigs = append(sc.sigs, nil)
+	}
+	sigs := sc.sigs[:k]
+	for c := range sigs {
+		sig := sigs[c][:0]
+		for idx := range n {
+			sig = append(sig, cols(idx)[c][:]...)
 		}
 		sigs[c] = sig
 	}
-	for slot, q := range g.chans {
-		for pos, mid := range q {
+	for pos := n; pos < len(g); pos += 2 + int(g[pos+1]) {
+		slot, q := g.channel(pos)
+		for qpos, mid := range q {
 			meta := &s.msgMeta[mid]
 			switch meta.col {
 			case msgColPoison:
@@ -572,21 +574,32 @@ func (s *System) canonKeyLocked(g *gstate) (string, bool) {
 			default:
 				sig := sigs[meta.col]
 				sig = binary.AppendUvarint(sig, uint64(slot))
-				sig = binary.AppendUvarint(sig, uint64(pos))
+				sig = binary.AppendUvarint(sig, uint64(qpos))
 				sig = append(sig, meta.norm[:]...)
 				sigs[meta.col] = sig
 			}
 		}
 	}
-	order := make([]int, k)
-	for c := range order {
-		order[c] = c
+	// Stable insertion sort of the columns by signature: k is small and the
+	// order is usually nearly sorted already.
+	order := sc.order[:0]
+	for c := 0; c < k; c++ {
+		order = append(order, c)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return bytes.Compare(sigs[order[a]], sigs[order[b]]) < 0
-	})
+	for i := 1; i < k; i++ {
+		c := order[i]
+		j := i
+		for ; j > 0 && bytes.Compare(sigs[c], sigs[order[j-1]]) < 0; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = c
+	}
+	sc.order = order
+	if cap(sc.rank) < k {
+		sc.rank = make([]int, k)
+	}
+	rank := sc.rank[:k]
 	identity := true
-	rank := make([]int, k)
 	for pos, c := range order {
 		rank[c] = pos
 		if c != pos {
@@ -598,18 +611,17 @@ func (s *System) canonKeyLocked(g *gstate) (string, bool) {
 	}
 	// Re-encode the state with columns in canonical order. The leading byte
 	// separates this digest domain from binaryKeyLocked's, so a canonical
-	// key can never collide with an identity key of a different state.
-	buf := make([]byte, 0, 512)
-	buf = append(buf, 0xC5)
-	for idx := range g.locals {
+	// key can never collide with an identity key of a different state. A
+	// column rank is a uvarint, one byte below 128 columns.
+	buf := append(sc.buf[:0], 0xC5)
+	for idx := range n {
+		symCols := cols(idx)
 		for _, c := range order {
-			buf = append(buf, cols[idx][c][:]...)
+			buf = append(buf, symCols[c][:]...)
 		}
 	}
-	for slot, q := range g.chans {
-		if len(q) == 0 {
-			continue
-		}
+	for pos := n; pos < len(g); pos += 2 + int(g[pos+1]) {
+		slot, q := g.channel(pos)
 		buf = binary.AppendUvarint(buf, uint64(slot)+1)
 		buf = binary.AppendUvarint(buf, uint64(len(q)))
 		for _, mid := range q {
@@ -618,11 +630,13 @@ func (s *System) canonKeyLocked(g *gstate) (string, bool) {
 				buf = append(buf, 0)
 				buf = append(buf, s.msgSum[mid][:]...)
 			} else {
-				buf = append(buf, 1, byte(rank[meta.col]))
+				buf = append(buf, 1)
+				buf = binary.AppendUvarint(buf, uint64(rank[meta.col]))
 				buf = append(buf, meta.norm[:]...)
 			}
 		}
 	}
+	sc.buf = buf
 	sum := digest16(buf)
 	return string(sum[:]), true
 }

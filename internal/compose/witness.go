@@ -98,20 +98,21 @@ func (w *Witness) Summary() string {
 	return b.String()
 }
 
-// annotatePath re-walks a path of the composed graph from the initial state,
+// replayPath re-walks a path of the composed graph from the initial state,
 // matching each edge against a fresh derivation of the source state to
 // recover the concrete step (acting entity, transition index, fault) behind
-// it. The match key is (transition label key, target state key): derive is
+// it, and returns those steps with the concrete state the path ends in. The
+// match key is (transition label key, target state key): derive is
 // deterministic, so the pair identifies the edge uniquely up to replay
 // equivalence (two derived moves reaching the same target state with the
 // same label are interchangeable for replay purposes).
-func (s *System) annotatePath(g *lts.Graph, path []lts.PathStep) ([]WitnessStep, error) {
+func (s *System) replayPath(g *lts.Graph, path []lts.PathStep) ([]WitnessStep, gstate, error) {
 	cur := s.rootState()
 	out := make([]WitnessStep, 0, len(path))
 	for pi, ps := range path {
 		trans, steps, err := s.derive(cur, true)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		wantKey := g.Keys[ps.Edge.To]
 		wantLabel := ps.Edge.Label.Key()
@@ -123,12 +124,12 @@ func (s *System) annotatePath(g *lts.Graph, path []lts.PathStep) ([]WitnessStep,
 			}
 		}
 		if found < 0 {
-			return nil, fmt.Errorf("compose: witness path step %d: no derived transition matches edge %q", pi, ps.Edge.Label)
+			return nil, nil, fmt.Errorf("compose: witness path step %d: no derived transition matches edge %q", pi, ps.Edge.Label)
 		}
 		out = append(out, steps[found])
-		cur = trans[found].To.(*gstate)
+		cur = trans[found].To.(gstate)
 	}
-	return out, nil
+	return out, cur, nil
 }
 
 // buildWitness extracts the shortest counterexample for a failed report, in
@@ -155,7 +156,7 @@ func buildWitness(sys *System, r *Report, opts VerifyOptions) (*Witness, error) 
 		if ok {
 			w := base
 			w.Kind = WitnessDeadlock
-			steps, err := sys.annotatePath(cg, path)
+			steps, _, err := sys.replayPath(cg, path)
 			if err != nil {
 				return nil, err
 			}
@@ -168,7 +169,7 @@ func buildWitness(sys *System, r *Report, opts VerifyOptions) (*Witness, error) 
 		if path, ok := equiv.DivergentPath(cg, sg, maxObs); ok {
 			w := base
 			w.Kind = WitnessExtraTrace
-			steps, err := sys.annotatePath(cg, path)
+			steps, _, err := sys.replayPath(cg, path)
 			if err != nil {
 				return nil, err
 			}
@@ -183,7 +184,7 @@ func buildWitness(sys *System, r *Report, opts VerifyOptions) (*Witness, error) 
 			w.Kind = WitnessMissingTrace
 			w.Missing = missing
 			path, matched := equiv.TracePrefixPath(cg, missing)
-			steps, err := sys.annotatePath(cg, path)
+			steps, _, err := sys.replayPath(cg, path)
 			if err != nil {
 				return nil, err
 			}

@@ -3,6 +3,7 @@ package lts
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/lotos"
 )
@@ -71,8 +72,7 @@ func (g *Graph) NumTransitions() int {
 // (re-)expanded whenever a path with fewer observable steps reaches them, so
 // the observable-depth accounting is exact.
 func Explore(env *Env, root lotos.Expr, lim Limits) (*Graph, error) {
-	src := exprSource{env: env}
-	return exploreGeneric(&src, lotos.Canon(root), root, lim)
+	return exploreGeneric(&exprSource{env: env}, lotos.Canon(root), root, lim)
 }
 
 // StateSource abstracts a transition system for the generic explorer: the
@@ -90,10 +90,18 @@ type GenTransition struct {
 	To    any
 }
 
-type exprSource struct{ env *Env }
+// exprSource explores expressions under an SOS environment. Next is safe
+// for concurrent use: the environment memoizes process instantiations in a
+// map, so derivations are serialized.
+type exprSource struct {
+	env *Env
+	mu  sync.Mutex
+}
 
 func (s *exprSource) Next(state any) ([]GenTransition, error) {
 	e := state.(lotos.Expr)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	ts, err := s.env.Transitions(e)
 	if err != nil {
 		return nil, fmt.Errorf("state %s: %w", lotos.Format(e), err)
@@ -110,6 +118,16 @@ func (s *exprSource) Next(state any) ([]GenTransition, error) {
 // lotos.Expr for Explore, and composite states for internal/compose).
 func ExploreSource(src StateSource, rootKey string, root any, lim Limits) (*Graph, error) {
 	return exploreGeneric(src, rootKey, root, lim)
+}
+
+// releasePayload drops the payload of an expanded state unless it is a
+// lotos.Expr, which Graph.States reports. An expanded state is never derived
+// again — depth improvements propagate through its cached edges — so the
+// explorers retain only keys, edges and depths for it.
+func releasePayload(states []any, id int) {
+	if _, ok := states[id].(lotos.Expr); !ok {
+		states[id] = nil
+	}
 }
 
 func exploreGeneric(src StateSource, rootKey string, root any, lim Limits) (*Graph, error) {
@@ -183,8 +201,11 @@ func exploreGeneric(src StateSource, rootKey string, root any, lim Limits) (*Gra
 			return nil, fmt.Errorf("exploring state %d: %w", head, err)
 		}
 		expanded[head] = true
+		releasePayload(states, head)
 		delete(g.Frontier, head)
-		for _, t := range ts {
+		g.Edges[head] = make([]Edge, 0, len(ts))
+		for i := range ts {
+			t := &ts[i]
 			nd := obsDepth[head]
 			if t.Label.Observable() {
 				nd++

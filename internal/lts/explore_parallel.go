@@ -60,12 +60,12 @@ func (v *shardedVisited) put(key string, id int) {
 	s.mu.Unlock()
 }
 
-// genResult is one derived transition annotated by the worker that derived
-// it with the target's state id when the target was already known (-1
-// otherwise); the merge phase then skips the index lookup.
-type genResult struct {
-	t     GenTransition
-	known int
+// derived is one state's transitions, with the target state id of each
+// that the deriving worker found already known (-1 otherwise); the merge
+// phase then skips the index lookup.
+type derived struct {
+	ts    []GenTransition
+	known []int
 }
 
 // ExploreSourceParallel is ExploreSource with a frontier-at-a-time parallel
@@ -159,7 +159,7 @@ func ExploreSourceParallel(src StateSource, rootKey string, root any, lim Limits
 		// Phase 2 (parallel): derive the successors of every state to
 		// expand. Workers pull indices from a shared cursor and annotate
 		// transitions with already-known target ids.
-		results := make([][]genResult, len(toExpand))
+		results := make([]derived, len(toExpand))
 		errs := make([]error, len(toExpand))
 		if len(toExpand) > 0 {
 			w := workers
@@ -206,14 +206,18 @@ func ExploreSourceParallel(src StateSource, rootKey string, root any, lim Limits
 		// states are re-queued for propagation or late expansion.
 		for i, head := range toExpand {
 			expanded[head] = true
+			releasePayload(states, head)
 			delete(g.Frontier, head)
-			for _, r := range results[i] {
-				t := r.t
+			ts := results[i].ts
+			g.Edges[head] = make([]Edge, 0, len(ts))
+			for j := range ts {
+				t := &ts[j]
 				nd := obsDepth[head]
 				if t.Label.Observable() {
 					nd++
 				}
-				id, ok := r.known, r.known >= 0
+				id := results[i].known[j]
+				ok := id >= 0
 				if !ok {
 					// Not known when derived; may have been added by an
 					// earlier state of this same merge.
@@ -249,19 +253,18 @@ func ExploreSourceParallel(src StateSource, rootKey string, root any, lim Limits
 
 // deriveOne derives the successors of one state and annotates them with
 // already-known target ids from the sharded visited map.
-func deriveOne(src StateSource, visited *shardedVisited, state any, out *[]genResult) error {
+func deriveOne(src StateSource, visited *shardedVisited, state any, out *derived) error {
 	ts, err := src.Next(state)
 	if err != nil {
 		return err
 	}
-	rs := make([]genResult, len(ts))
-	for j, t := range ts {
-		known := -1
-		if id, ok := visited.get(t.Key); ok {
-			known = id
+	known := make([]int, len(ts))
+	for j := range ts {
+		known[j] = -1
+		if id, ok := visited.get(ts[j].Key); ok {
+			known[j] = id
 		}
-		rs[j] = genResult{t: t, known: known}
 	}
-	*out = rs
+	*out = derived{ts: ts, known: known}
 	return nil
 }

@@ -374,8 +374,10 @@ func exploreSpillFull(src StateSource, rootKey string, root any, lim Limits, idx
 			expanded[head] = true
 			delete(g.Frontier, head)
 			delete(pending, head)
+			g.Edges[head] = make([]Edge, 0, len(results[i]))
 			stats.Transitions += int64(len(results[i]))
-			for _, t := range results[i] {
+			for j := range results[i] {
+				t := &results[i][j]
 				nd := obsDepth[head]
 				if t.Label.Observable() {
 					nd++
