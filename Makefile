@@ -21,8 +21,8 @@ test:
 	$(GO) test ./...
 
 # check is the concurrency tier: vet plus the race detector over the
-# packages that exercise goroutines (the runtime, the medium, the parallel
-# explorer and the daemon), plus a short fuzz smoke of the two native
+# packages that exercise goroutines (the runtime, the medium, the explorer's
+# worker pool and the daemon), plus a short fuzz smoke of the two native
 # fuzz targets. It also vets and tests the benchmark module, a module of
 # its own that `./...` does not reach but that imports the compose, lts and
 # equiv APIs.
@@ -56,13 +56,15 @@ compositional-smoke:
 # reduction-smoke is the reduction-soundness gate: the whole corpus verified
 # unreduced and under every reduction set (POR, symmetry, spill, all) across
 # reliable and faulty media with verdicts compared cell by cell and every
-# reduced counterexample replayed; the three exploration engines (serial,
-# parallel, out-of-core) compared byte for byte within one reduction set;
+# reduced counterexample replayed; one explorer across worker counts and the
+# spill index compared byte for byte within one reduction set, both on
+# verdicts and on the pinned product-graph fingerprints;
 # block-permutation invariance; and the tentpole acceptance run —
 # multiinstance explored to completion under symmetry inside a budget its
 # unreduced product overflows. All under the race detector.
 reduction-smoke:
 	$(GO) test -race -run '^(TestCorpusReductionDifferential|TestCorpusSerialParallelSpilledAgree|TestPermutationInvariance|TestReductionPermutationRandomized|TestMultiinstanceCompletesUnderSymmetry)$$' -count=1 .
+	$(GO) test -race -count=1 -run '^TestProductGraphFingerprint$$' ./internal/compose
 
 # cluster-smoke is the fleet-simulator gate: the cluster engine and its CLI
 # under the race detector, then the small scenario run twice with

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -405,14 +406,14 @@ func BenchmarkReductionAblation(b *testing.B) {
 // --- exploration ablation: serial/parallel ------------------------------------------
 
 // exploreBenchConfigs are the two exploration configurations compared by the
-// ablation benchmarks: the serial explorer and the level-synchronous
-// parallel explorer, both with the binary state keys.
+// ablation benchmarks: the explorer deriving inline and on one worker per
+// CPU, both with the binary state keys.
 var exploreBenchConfigs = []struct {
-	name     string
-	parallel bool
+	name    string
+	workers int
 }{
-	{"serial-binary", false},
-	{"parallel-binary", true},
+	{"serial-binary", 1},
+	{"parallel-binary", runtime.GOMAXPROCS(0)},
 }
 
 func benchExplore(b *testing.B, entities map[int]*lotos.Spec, cfg compose.Config) {
@@ -454,8 +455,8 @@ func BenchmarkExploreCorpusAblation(b *testing.B) {
 		for _, cfg := range exploreBenchConfigs {
 			b.Run(base+"/"+cfg.name, func(b *testing.B) {
 				benchExplore(b, d.Entities, compose.Config{
-					Limits:   lim,
-					Parallel: cfg.parallel,
+					Limits:  lim,
+					Workers: cfg.workers,
 				})
 			})
 		}
@@ -476,8 +477,8 @@ func BenchmarkExplorePlacesSweep(b *testing.B) {
 		for _, cfg := range exploreBenchConfigs {
 			b.Run(fmt.Sprintf("n=%d/%s", n, cfg.name), func(b *testing.B) {
 				benchExplore(b, d.Entities, compose.Config{
-					Limits:   lim,
-					Parallel: cfg.parallel,
+					Limits:  lim,
+					Workers: cfg.workers,
 				})
 			})
 		}

@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 
 	"repro/internal/cli"
@@ -116,11 +117,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "verify:", err)
 		return cli.ExitUsage
 	}
+	workers := 0
+	if *parallel {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	opts := compose.VerifyOptions{
 		ChannelCap:     *chanCap,
 		ObsDepth:       *depth,
 		MaxStates:      *maxStates,
-		Parallel:       *parallel,
+		Workers:        workers,
 		TraceDiffLimit: *diffLimit,
 		Compositional:  *compositional,
 		Reductions:     red,

@@ -25,12 +25,12 @@
 // fixed 16 bytes. Every component is derived from *content* (the canonical
 // local expression, the message's tag/node/occurrence), never from interning
 // order, so the key of a global state is identical no matter which
-// exploration order — serial or parallel — first reached it. Entity-local
-// states and messages are interned to small integers per System, so queue
-// operations and equality checks never allocate or compare strings, and a
-// global state packs into one pointer-free []int32 (see gstate). Key
-// encoding works in scratch memory owned by one derivation, so keying a
-// state allocates only the key string.
+// derivation order — one explorer worker or several — first reached it.
+// Entity-local states and messages are interned to small integers per
+// System, so queue operations and equality checks never allocate or compare
+// strings, and a global state packs into one pointer-free []int32 (see
+// gstate). Key encoding works in scratch memory owned by one derivation, so
+// keying a state allocates only the key string.
 package compose
 
 import (
@@ -67,13 +67,9 @@ type Config struct {
 	SpillBudget int64
 	// SpillDir is the directory for spilled runs ("" = the OS temp dir).
 	SpillDir string
-	// Parallel explores the product with the level-synchronous parallel
-	// BFS (lts.ExploreSourceParallel) instead of the serial explorer. The
-	// resulting graph has the same state-key set and weakly bisimilar
-	// behaviour; state numbering is deterministic run to run.
-	Parallel bool
-	// Workers sizes the parallel explorer's worker pool (0 = GOMAXPROCS).
-	// Ignored unless Parallel is set.
+	// Workers sizes the explorer's derivation pool: each BFS level is
+	// derived on that many goroutines, or inline when Workers is 0 or 1.
+	// The explored graph is the same for every worker count.
 	Workers int
 	// Faults composes medium faults — message loss, duplication, adjacent
 	// reordering — into the product as internal medium transitions. The
@@ -96,9 +92,9 @@ type System struct {
 	// symmetry exists.
 	red Reductions
 	sym *symmetry
-	// Reduction telemetry. The counters are atomic because the parallel
-	// explorer's workers share the system; spillStats is written once by
-	// Explore (single-threaded) after the spilling explorer returns.
+	// Reduction telemetry. The counters are atomic because the explorer's
+	// workers share the system; spillStats is written once by Explore
+	// (single-threaded) after a spilling exploration returns.
 	orbitsCollapsed atomic.Int64
 	ampleHits       atomic.Int64
 	spillStats      *lts.SpillStats
@@ -109,7 +105,7 @@ type System struct {
 	preset bool
 
 	// Interning tables, shared by every exploration of the system and —
-	// under the parallel explorer — by every worker, hence the lock.
+	// with several explorer workers — by every worker, hence the lock.
 	// Entity-local state interning mirrors the paper's observation that
 	// the product factors through the (much smaller) local transition
 	// systems: every distinct entity expression gets a small integer id
@@ -466,7 +462,7 @@ func (s *System) binaryKeyLocked(g gstate, sc *scratch) string {
 }
 
 // source implements lts.StateSource over the product system. Next is safe
-// for concurrent use (the parallel explorer's workers share one source).
+// for concurrent use (the explorer's workers share one source).
 type source struct {
 	sys *System
 }
@@ -770,46 +766,36 @@ func (s *System) faultMoves(e *successors, g gstate) {
 }
 
 // Explore builds the observable global transition graph of the composed
-// protocol system. With Config.Parallel it runs the frontier-at-a-time
-// parallel explorer; the serial explorer remains the oracle the parallel
-// path is cross-checked against. With RedSpill enabled the disk-spilling
-// explorer runs instead (it takes precedence over Parallel) and its
-// statistics become available through ReductionInfo.
+// protocol system with the level-synchronous explorer (lts.ExploreSource),
+// on Config.Workers derivation workers. With RedSpill enabled the visited
+// index spills past Config.SpillBudget, and its statistics become available
+// through ReductionInfo; the graph is the same either way.
 func (s *System) Explore() (*lts.Graph, error) {
-	root := s.rootState()
-	rootKey := s.key(root, new(scratch))
-	src := &source{sys: s}
-	if s.red&RedSpill != 0 {
-		g, st, err := lts.ExploreSourceSpill(src, rootKey, root, s.cfg.Limits, lts.SpillConfig{
-			Budget: s.cfg.SpillBudget,
-			Dir:    s.cfg.SpillDir,
-		})
-		s.spillStats = st
-		return g, err
-	}
-	if s.cfg.Parallel {
-		return lts.ExploreSourceParallel(src, rootKey, root, s.cfg.Limits, s.cfg.Workers)
-	}
-	return lts.ExploreSource(src, rootKey, root, s.cfg.Limits)
+	g, _, err := s.explore(false)
+	return g, err
 }
 
 // ExploreStatsOnly explores the product counting states without retaining
 // the graph — the memory-bounded census mode for products far past what a
-// retained graph could hold. Requires RedSpill (the spilling explorer is the
-// only one that can discard visited states) and no depth limits.
+// retained graph could hold. Requires RedSpill (only the spilling index can
+// discard visited states) and no depth limits.
 func (s *System) ExploreStatsOnly() (*lts.SpillStats, error) {
 	if s.red&RedSpill == 0 {
 		return nil, fmt.Errorf("compose: ExploreStatsOnly requires the spill reduction")
 	}
-	root := s.rootState()
-	src := &source{sys: s}
-	_, st, err := lts.ExploreSourceSpill(src, s.key(root, new(scratch)), root, s.cfg.Limits, lts.SpillConfig{
-		Budget:    s.cfg.SpillBudget,
-		Dir:       s.cfg.SpillDir,
-		StatsOnly: true,
-	})
-	s.spillStats = st
+	_, st, err := s.explore(true)
 	return st, err
+}
+
+func (s *System) explore(statsOnly bool) (*lts.Graph, *lts.SpillStats, error) {
+	var spill *lts.SpillConfig
+	if s.red&RedSpill != 0 {
+		spill = &lts.SpillConfig{Budget: s.cfg.SpillBudget, Dir: s.cfg.SpillDir, StatsOnly: statsOnly}
+	}
+	root := s.rootState()
+	g, st, err := lts.ExploreSource(&source{sys: s}, s.key(root, new(scratch)), root, s.cfg.Limits, s.cfg.Workers, spill)
+	s.spillStats = st
+	return g, st, err
 }
 
 // ReductionInfo reports the reduction configuration and the work each

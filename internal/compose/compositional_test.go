@@ -101,14 +101,14 @@ var compositionalSources = []struct {
 // parallel.
 func TestCompositionalMatchesMonolithic(t *testing.T) {
 	for _, tc := range compositionalSources {
-		for _, par := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
 			name := tc.name
-			if par {
+			if workers > 1 {
 				name += "-parallel"
 			}
 			t.Run(name, func(t *testing.T) {
 				o := tc.opts
-				o.Parallel = par
+				o.Workers = workers
 				mono, comp := bothPaths(t, tc.src, o)
 				wantSameVerdict(t, tc.src, mono, comp)
 			})

@@ -93,7 +93,7 @@ func TestKeySlotAndLengthFraming(t *testing.T) {
 	}
 }
 
-// TestBinaryKeyContentDerived checks the property the parallel explorer
+// TestBinaryKeyContentDerived checks the property multi-worker exploration
 // depends on: binary keys are derived from content only, so two System
 // instances that interned the same messages in DIFFERENT orders still
 // assign equal keys to equal global states.

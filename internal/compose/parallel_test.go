@@ -13,9 +13,11 @@ import (
 	"repro/internal/lts"
 )
 
-// corpusLimits avoids MaxStates truncation on every corpus spec: a capped
-// exploration may cut different (equally valid) prefixes serial vs
-// parallel, so the cross-check needs closure within the observable bound.
+// corpusLimits avoids MaxStates truncation on every corpus spec, so the
+// cross-check covers each product up to its observable bound. Capped
+// explorations are pinned separately: the explorer merges every level in
+// frontier order whatever the worker count, so a cap cuts the same prefix
+// (see the cap-truncated cell of TestProductGraphFingerprint).
 var corpusLimits = lts.Limits{MaxObsDepth: 5, MaxStates: 400000}
 
 func exploreCorpusSpec(t *testing.T, entities map[int]*lotos.Spec, cfg Config) *lts.Graph {
@@ -46,8 +48,8 @@ func adjacencyByKey(g *lts.Graph) map[string][]string {
 	return adj
 }
 
-// TestParallelMatchesSerialOnCorpus cross-checks the parallel explorer
-// against the serial oracle over the full specs/ corpus: identical
+// TestParallelMatchesSerialOnCorpus cross-checks the explorer on four
+// workers against inline derivation over the full specs/ corpus: identical
 // state-key sets, identical sizes, and weakly bisimilar graphs.
 func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.spec"))
@@ -65,12 +67,12 @@ func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			serial := exploreCorpusSpec(t, d.Entities, Config{Limits: corpusLimits})
-			par := exploreCorpusSpec(t, d.Entities, Config{Limits: corpusLimits, Parallel: true, Workers: 4})
+			par := exploreCorpusSpec(t, d.Entities, Config{Limits: corpusLimits, Workers: 4})
 
 			// Truncation at the observable bound is fine (the cut depends
-			// only on the depth fixpoint, which both explorers share); only
-			// the MaxStates cap cuts order-dependent prefixes, so the cap
-			// must not be the truncating factor.
+			// only on the depth fixpoint); the cap must not be the
+			// truncating factor, or the check would cover less than the
+			// observable bound.
 			if serial.NumStates() >= corpusLimits.MaxStates || par.NumStates() >= corpusLimits.MaxStates {
 				t.Fatalf("state cap hit (serial=%d parallel=%d); raise corpusLimits.MaxStates",
 					serial.NumStates(), par.NumStates())
@@ -113,7 +115,7 @@ func TestParallelExploreDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() *lts.Graph {
-		return exploreCorpusSpec(t, d.Entities, Config{Limits: corpusLimits, Parallel: true, Workers: 8})
+		return exploreCorpusSpec(t, d.Entities, Config{Limits: corpusLimits, Workers: 8})
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a.Keys, b.Keys) {

@@ -240,7 +240,7 @@ func TestSpillProductByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		parSys, err := New(mustDerive(t, multiSrc).Entities, Config{
-			Reductions: RedPOR | redExplicit, Limits: lim, Parallel: true, Workers: 4, Faults: fm,
+			Reductions: RedPOR | redExplicit, Limits: lim, Workers: 4, Faults: fm,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -254,7 +254,7 @@ func TestSpillProductByteIdentical(t *testing.T) {
 				fm, gs.NumStates(), gs.NumTransitions(), gp.NumStates(), gp.NumTransitions())
 		}
 		if !reflect.DeepEqual(gs.Keys, gp.Keys) {
-			t.Errorf("faults=%s: spilled product state numbering differs from the parallel explorer", fm)
+			t.Errorf("faults=%s: spilled product state numbering differs from the in-memory index", fm)
 		}
 		ri := spillSys.ReductionInfo()
 		if ri.SpillRuns == 0 {

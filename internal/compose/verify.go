@@ -134,11 +134,9 @@ type VerifyOptions struct {
 	ObsDepth int
 	// MaxStates caps both explorations (default lts.DefaultMaxStates).
 	MaxStates int
-	// Parallel explores the composed product with the parallel explorer
-	// (see Config.Parallel); the service side stays serial (it is tiny by
-	// comparison).
-	Parallel bool
-	// Workers sizes the parallel worker pool (0 = GOMAXPROCS).
+	// Workers sizes the product explorer's derivation pool (see
+	// Config.Workers; 0 or 1 derives inline). The service side is always
+	// explored inline (it is tiny by comparison).
 	Workers int
 	// Faults selects the medium fault model to compose in (zero value =
 	// the paper's reliable FIFO medium).
@@ -221,7 +219,6 @@ func verifyMonolithic(service *lotos.Spec, entities map[int]*lotos.Spec, opts Ve
 	sys, err := New(entities, Config{
 		ChannelCap:  opts.ChannelCap,
 		Limits:      lim,
-		Parallel:    opts.Parallel,
 		Workers:     opts.Workers,
 		Faults:      opts.Faults,
 		Reductions:  opts.Reductions,
@@ -364,7 +361,6 @@ func verifyCompositional(service *lotos.Spec, entities map[int]*lotos.Spec, opts
 	sys, err := NewCompositional(entities, ltss, Config{
 		ChannelCap:  opts.ChannelCap,
 		Limits:      lim,
-		Parallel:    opts.Parallel,
 		Workers:     opts.Workers,
 		Faults:      opts.Faults,
 		Reductions:  opts.Reductions,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/lotos"
 )
@@ -72,14 +73,16 @@ func (g *Graph) NumTransitions() int {
 // (re-)expanded whenever a path with fewer observable steps reaches them, so
 // the observable-depth accounting is exact.
 func Explore(env *Env, root lotos.Expr, lim Limits) (*Graph, error) {
-	return exploreGeneric(&exprSource{env: env}, lotos.Canon(root), root, lim)
+	g, _, err := explore(&exprSource{env: env}, lotos.Canon(root), root, lim, 1, mapIndex{})
+	return g, err
 }
 
-// StateSource abstracts a transition system for the generic explorer: the
-// lts SOS semantics here, and the entity×medium product in internal/compose.
+// StateSource abstracts a transition system for the explorer: the lts SOS
+// semantics here, and the entity×medium product in internal/compose.
 type StateSource interface {
 	// Next derives the transitions of a state. The returned targets carry
-	// their canonical keys.
+	// their canonical keys. With more than one worker, Next is called
+	// concurrently.
 	Next(state any) ([]GenTransition, error)
 }
 
@@ -114,130 +117,196 @@ func (s *exprSource) Next(state any) ([]GenTransition, error) {
 }
 
 // ExploreSource runs the bounded exploration over any StateSource; the
-// resulting Graph's States hold the source's opaque state values (they are
-// lotos.Expr for Explore, and composite states for internal/compose).
-func ExploreSource(src StateSource, rootKey string, root any, lim Limits) (*Graph, error) {
-	return exploreGeneric(src, rootKey, root, lim)
+// resulting Graph's States hold the source's opaque state values where they
+// are lotos.Expr (as under Explore) and nil otherwise.
+//
+// Each BFS level is derived inline when workers <= 1 and on a pool of that
+// many goroutines otherwise, then merged in frontier order, so the graph —
+// state numbering included — is the same for every worker count.
+//
+// A nil spill keeps the visited index in memory. A non-nil spill bounds it
+// by a byte budget, spilling sorted runs to disk, and returns the spill
+// statistics (non-nil even on error); the graph is again the same. With
+// spill.StatsOnly no graph is retained and only the statistics are
+// returned.
+func ExploreSource(src StateSource, rootKey string, root any, lim Limits, workers int, spill *SpillConfig) (*Graph, *SpillStats, error) {
+	if spill != nil {
+		return exploreSpill(src, rootKey, root, lim, workers, *spill)
+	}
+	g, _, err := explore(src, rootKey, root, lim, workers, mapIndex{})
+	return g, nil, err
+}
+
+// visitedIndex maps state keys to state ids. The explorer writes it only
+// while merging a level, which is serial; resolve runs once per level,
+// after the level is derived and before it is merged.
+type visitedIndex interface {
+	// resolve prepares get for the target keys of a derived level.
+	resolve(level [][]GenTransition) error
+	// get returns the id of a key added before the level or during its
+	// merge.
+	get(key string) (int, bool)
+	// put adds a key known to be absent.
+	put(key string, id int) error
+}
+
+// mapIndex is the in-memory visited index.
+type mapIndex map[string]int
+
+func (mapIndex) resolve([][]GenTransition) error { return nil }
+
+func (m mapIndex) get(key string) (int, bool) {
+	id, ok := m[key]
+	return id, ok
+}
+
+func (m mapIndex) put(key string, id int) error {
+	m[key] = id
+	return nil
 }
 
 // releasePayload drops the payload of an expanded state unless it is a
 // lotos.Expr, which Graph.States reports. An expanded state is never derived
 // again — depth improvements propagate through its cached edges — so the
-// explorers retain only keys, edges and depths for it.
+// explorer retains only keys, edges and depths for it.
 func releasePayload(states []any, id int) {
 	if _, ok := states[id].(lotos.Expr); !ok {
 		states[id] = nil
 	}
 }
 
-func exploreGeneric(src StateSource, rootKey string, root any, lim Limits) (*Graph, error) {
+// explore is the level-synchronous BFS behind every exploration. Each level
+// runs in three steps: gate its states on MaxDepth and MaxObsDepth (a gated
+// state joins the frontier, and an already-expanded state re-queued by a
+// depth improvement propagates it through its cached edges); derive the
+// successors of the remaining states (deriveAll); then merge the derived
+// transitions serially, in frontier order. Only the merge writes the index
+// and numbers new states, so neither the worker count nor the index changes
+// the graph. capped reports that MaxStates refused at least one new state.
+func explore(src StateSource, rootKey string, root any, lim Limits, workers int, idx visitedIndex) (g *Graph, capped bool, err error) {
 	maxStates := lim.MaxStates
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
 	}
-	g := &Graph{Frontier: map[int]bool{}}
-	var states []any
-	index := map[string]int{}
-	obsDepth := []int{}
-	expanded := []bool{}
-	add := func(key string, st any, depth, obs int) int {
-		if id, ok := index[key]; ok {
-			return id
-		}
+	g = &Graph{Frontier: map[int]bool{}}
+	var (
+		states           []any
+		obsDepth         []int
+		expanded, queued []bool
+		next             []int
+	)
+	add := func(key string, st any, depth, obs int) (int, error) {
 		id := len(states)
-		index[key] = id
+		if err := idx.put(key, id); err != nil {
+			return 0, err
+		}
 		states = append(states, st)
 		g.Keys = append(g.Keys, key)
 		g.Edges = append(g.Edges, nil)
 		g.Depth = append(g.Depth, depth)
 		obsDepth = append(obsDepth, obs)
 		expanded = append(expanded, false)
-		return id
+		queued = append(queued, false)
+		return id, nil
 	}
-	add(rootKey, root, 0, 0)
-	queue := []int{0}
-	for len(queue) > 0 {
-		head := queue[0]
-		queue = queue[1:]
-		if expanded[head] {
-			// Re-expansion after a depth or observable-depth improvement:
-			// refresh the successors through the already-derived edges. Depth
-			// must be propagated alongside obsDepth: a state re-queued with a
-			// shorter transition distance would otherwise leave stale Depth
-			// values behind, and the MaxDepth truncation check would read
-			// them.
-			for _, e := range g.Edges[head] {
+	enqueue := func(id int) {
+		if !queued[id] {
+			queued[id] = true
+			next = append(next, id)
+		}
+	}
+	// relax pushes head's depths through one edge. Depth must be relaxed
+	// alongside obsDepth: a state re-queued with a shorter transition
+	// distance would otherwise leave stale Depth values behind for the
+	// MaxDepth gate to read.
+	relax := func(head int, e Edge) {
+		nd := obsDepth[head]
+		if e.Label.Observable() {
+			nd++
+		}
+		improved := false
+		if nd < obsDepth[e.To] {
+			obsDepth[e.To] = nd
+			improved = true
+		}
+		if d := g.Depth[head] + 1; d < g.Depth[e.To] {
+			g.Depth[e.To] = d
+			improved = true
+		}
+		if improved {
+			enqueue(e.To)
+		}
+	}
+
+	if _, err := add(rootKey, root, 0, 0); err != nil {
+		return nil, false, err
+	}
+	for level := []int{0}; len(level) > 0; level = next {
+		next = nil
+		var toExpand []int
+		for _, id := range level {
+			queued[id] = false
+		}
+		for _, id := range level {
+			switch {
+			case expanded[id]:
+				for _, e := range g.Edges[id] {
+					relax(id, e)
+				}
+			case lim.MaxDepth > 0 && g.Depth[id] >= lim.MaxDepth,
+				lim.MaxObsDepth > 0 && obsDepth[id] >= lim.MaxObsDepth:
+				g.Frontier[id] = true
+			default:
+				toExpand = append(toExpand, id)
+			}
+		}
+
+		payloads := make([]any, len(toExpand))
+		for i, id := range toExpand {
+			payloads[i] = states[id]
+		}
+		results, failed, err := deriveAll(src, payloads, workers)
+		if err != nil {
+			return nil, false, fmt.Errorf("exploring state %d: %w", toExpand[failed], err)
+		}
+		if err := idx.resolve(results); err != nil {
+			return nil, false, err
+		}
+
+		for i, head := range toExpand {
+			expanded[head] = true
+			releasePayload(states, head)
+			delete(g.Frontier, head)
+			ts := results[i]
+			results[i] = nil
+			edges := make([]Edge, 0, len(ts))
+			for j := range ts {
+				t := &ts[j]
+				if id, ok := idx.get(t.Key); ok {
+					edges = append(edges, Edge{Label: t.Label, To: id})
+					relax(head, edges[len(edges)-1])
+					continue
+				}
+				if len(states) >= maxStates {
+					capped = true
+					g.Frontier[head] = true
+					continue
+				}
 				nd := obsDepth[head]
-				if e.Label.Observable() {
+				if t.Label.Observable() {
 					nd++
 				}
-				improved := false
-				if nd < obsDepth[e.To] {
-					obsDepth[e.To] = nd
-					improved = true
+				to, err := add(t.Key, t.To, g.Depth[head]+1, nd)
+				if err != nil {
+					return nil, false, err
 				}
-				if d := g.Depth[head] + 1; d < g.Depth[e.To] {
-					g.Depth[e.To] = d
-					improved = true
-				}
-				if improved {
-					queue = append(queue, e.To)
-				}
+				edges = append(edges, Edge{Label: t.Label, To: to})
+				enqueue(to)
 			}
-			continue
-		}
-		if lim.MaxDepth > 0 && g.Depth[head] >= lim.MaxDepth {
-			g.Truncated = true
-			g.Frontier[head] = true
-			continue
-		}
-		if lim.MaxObsDepth > 0 && obsDepth[head] >= lim.MaxObsDepth {
-			g.Truncated = true
-			g.Frontier[head] = true
-			continue
-		}
-		ts, err := src.Next(states[head])
-		if err != nil {
-			return nil, fmt.Errorf("exploring state %d: %w", head, err)
-		}
-		expanded[head] = true
-		releasePayload(states, head)
-		delete(g.Frontier, head)
-		g.Edges[head] = make([]Edge, 0, len(ts))
-		for i := range ts {
-			t := &ts[i]
-			nd := obsDepth[head]
-			if t.Label.Observable() {
-				nd++
-			}
-			if id, ok := index[t.Key]; ok {
-				g.Edges[head] = append(g.Edges[head], Edge{Label: t.Label, To: id})
-				improved := false
-				if nd < obsDepth[id] {
-					obsDepth[id] = nd
-					improved = true
-				}
-				if d := g.Depth[head] + 1; d < g.Depth[id] {
-					g.Depth[id] = d
-					improved = true
-				}
-				if improved {
-					queue = append(queue, id)
-				}
-				continue
-			}
-			if len(states) >= maxStates {
-				g.Truncated = true
-				g.Frontier[head] = true
-				continue
-			}
-			to := add(t.Key, t.To, g.Depth[head]+1, nd)
-			g.Edges[head] = append(g.Edges[head], Edge{Label: t.Label, To: to})
-			queue = append(queue, to)
+			g.Edges[head] = edges
 		}
 	}
-	// Frontier states reached below the observable bound but never expanded
-	// (e.g. added after the state cap) stay marked.
+
 	g.States = make([]lotos.Expr, len(states))
 	for i, st := range states {
 		if e, ok := st.(lotos.Expr); ok {
@@ -246,7 +315,58 @@ func exploreGeneric(src StateSource, rootKey string, root any, lim Limits) (*Gra
 	}
 	g.ObsDepth = obsDepth
 	g.Truncated = len(g.Frontier) > 0
-	return g, nil
+	return g, capped, nil
+}
+
+// deriveAll derives the successors of every payload, inline when workers <=
+// 1 and otherwise on a pool of goroutines that claim payloads through an
+// atomic cursor. On failure it returns the index of the first failing
+// payload in order: a worker claims a payload only while no derivation has
+// failed and derives every payload it claims, so every payload before a
+// failing one has been derived.
+func deriveAll(src StateSource, payloads []any, workers int) ([][]GenTransition, int, error) {
+	results := make([][]GenTransition, len(payloads))
+	if workers > len(payloads) {
+		workers = len(payloads)
+	}
+	if workers <= 1 {
+		for i, st := range payloads {
+			ts, err := src.Next(st)
+			if err != nil {
+				return nil, i, err
+			}
+			results[i] = ts
+		}
+		return results, 0, nil
+	}
+	errs := make([]error, len(payloads))
+	var (
+		cursor atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	for k := 0; k < workers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(cursor.Add(1)) - 1
+				if i >= len(payloads) {
+					return
+				}
+				if results[i], errs[i] = src.Next(payloads[i]); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, i, err
+		}
+	}
+	return results, 0, nil
 }
 
 // ExploreSpec resolves and explores a complete specification.

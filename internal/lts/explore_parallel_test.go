@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/lotos"
@@ -14,13 +15,13 @@ import (
 // for explorer tests that need precise control over discovery order.
 type fakeSource struct {
 	edges map[string][]GenTransition
-	// failOn, when non-empty, makes Next fail for that state.
-	failOn string
+	// failOn makes Next fail for the states it holds.
+	failOn map[string]bool
 }
 
 func (f *fakeSource) Next(state any) ([]GenTransition, error) {
 	s := state.(string)
-	if f.failOn != "" && s == f.failOn {
+	if f.failOn[s] {
 		return nil, errors.New("injected derivation failure")
 	}
 	return f.edges[s], nil
@@ -90,17 +91,11 @@ func TestReExpansionRelaxesDepth(t *testing.T) {
 			}
 		}
 	}
-	lim := Limits{MaxObsDepth: 1}
-	g, err := ExploreSource(src, "root", "root", lim)
-	if err != nil {
-		t.Fatal(err)
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			check(t, e.run(t, src, "root", "root", Limits{MaxObsDepth: 1}))
+		})
 	}
-	check(t, g)
-	gp, err := ExploreSourceParallel(src, "root", "root", lim, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(t, gp)
 }
 
 // TestMaxStatesMidExpansionFrontier pins the truncation bookkeeping when
@@ -115,19 +110,10 @@ func TestMaxStatesMidExpansionFrontier(t *testing.T) {
 		"C1":   {obs("B")},
 		"C2":   {},
 	}}
-	for _, explore := range []struct {
-		name string
-		run  func(lim Limits) (*Graph, error)
-	}{
-		{"serial", func(lim Limits) (*Graph, error) { return ExploreSource(src, "root", "root", lim) }},
-		{"parallel", func(lim Limits) (*Graph, error) { return ExploreSourceParallel(src, "root", "root", lim, 3) }},
-	} {
-		t.Run(explore.name, func(t *testing.T) {
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
 			// Cap 2: B is reached but cannot expand at all.
-			g, err := explore.run(Limits{MaxStates: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := e.run(t, src, "root", "root", Limits{MaxStates: 2})
 			if !g.Truncated {
 				t.Error("cap=2: graph not marked truncated")
 			}
@@ -144,10 +130,7 @@ func TestMaxStatesMidExpansionFrontier(t *testing.T) {
 
 			// Cap 3: B expands its first edge (C1 joins), then hits the cap
 			// deriving C2 — a partially derived edge list.
-			g, err = explore.run(Limits{MaxStates: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
+			g = e.run(t, src, "root", "root", Limits{MaxStates: 3})
 			if !g.Truncated {
 				t.Error("cap=3: graph not marked truncated")
 			}
@@ -163,10 +146,7 @@ func TestMaxStatesMidExpansionFrontier(t *testing.T) {
 			}
 
 			// Cap 4: closure; C2 is a genuine deadlock, B is not frontier.
-			g, err = explore.run(Limits{MaxStates: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
+			g = e.run(t, src, "root", "root", Limits{MaxStates: 4})
 			if g.Truncated {
 				t.Error("cap=4: graph should be complete")
 			}
@@ -198,9 +178,9 @@ func graphSig(g *Graph) (keys []string, adj map[string][]string, depth map[strin
 	return keys, adj, depth, obsDepth
 }
 
-// TestParallelMatchesSerialOnSpecs cross-checks the parallel explorer
-// against the serial oracle over SOS-derived graphs: same key set, same
-// adjacency, same depth accounting.
+// TestParallelMatchesSerialOnSpecs cross-checks every engine against the
+// reference explorer over SOS-derived graphs: same key set, same adjacency,
+// same depth accounting.
 func TestParallelMatchesSerialOnSpecs(t *testing.T) {
 	specs := []string{
 		"SPEC a1; b2; exit ENDSPEC",
@@ -210,51 +190,45 @@ func TestParallelMatchesSerialOnSpecs(t *testing.T) {
 	}
 	for _, srcText := range specs {
 		sp := lotos.MustParse(srcText)
-		env, err := EnvFor(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
 		lim := Limits{MaxObsDepth: 6, MaxStates: 5000}
-		serial, err := Explore(env, sp.Root.Expr, lim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Fresh env: the memo map is not safe for concurrent use from
-		// multiple explorations, and a fresh one also proves the parallel
-		// run does not depend on serial warm-up.
-		env2, err := EnvFor(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		es := exprSource{env: env2}
-		par, err := ExploreSourceParallel(&es, lotos.Canon(sp.Root.Expr), sp.Root.Expr, lim, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sk, sa, sd, so := graphSig(serial)
-		pk, pa, pd, po := graphSig(par)
-		if !reflect.DeepEqual(sk, pk) {
-			t.Errorf("%s: key sets differ:\nserial %v\nparallel %v", srcText, sk, pk)
-			continue
-		}
-		if !reflect.DeepEqual(sa, pa) {
-			t.Errorf("%s: adjacency differs", srcText)
-		}
-		if !reflect.DeepEqual(sd, pd) {
-			t.Errorf("%s: depths differ:\nserial %v\nparallel %v", srcText, sd, pd)
-		}
-		if !reflect.DeepEqual(so, po) {
-			t.Errorf("%s: obs depths differ", srcText)
-		}
-		if serial.Truncated != par.Truncated {
-			t.Errorf("%s: truncated %v vs %v", srcText, serial.Truncated, par.Truncated)
+		var ref *Graph
+		for _, e := range engines {
+			// A fresh environment per engine proves no run depends on
+			// another's memoized instantiations.
+			env, err := EnvFor(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := e.run(t, &exprSource{env: env}, lotos.Canon(sp.Root.Expr), sp.Root.Expr, lim)
+			if ref == nil {
+				ref = g
+				continue
+			}
+			rk, ra, rd, ro := graphSig(ref)
+			gk, ga, gd, gobs := graphSig(g)
+			if !reflect.DeepEqual(rk, gk) {
+				t.Errorf("%s: %s key set differs from ref:\nref %v\n%s %v", srcText, e.name, rk, e.name, gk)
+				continue
+			}
+			if !reflect.DeepEqual(ra, ga) {
+				t.Errorf("%s: %s adjacency differs from ref", srcText, e.name)
+			}
+			if !reflect.DeepEqual(rd, gd) {
+				t.Errorf("%s: %s depths differ from ref:\nref %v\n%s %v", srcText, e.name, rd, e.name, gd)
+			}
+			if !reflect.DeepEqual(ro, gobs) {
+				t.Errorf("%s: %s obs depths differ from ref", srcText, e.name)
+			}
+			if ref.Truncated != g.Truncated {
+				t.Errorf("%s: %s truncated %v, ref %v", srcText, e.name, g.Truncated, ref.Truncated)
+			}
 		}
 	}
 }
 
-// TestParallelDeterministic runs the parallel explorer twice over the same
-// source and requires bit-identical graphs — state numbering included —
-// despite scheduling nondeterminism in the derive phase.
+// TestParallelDeterministic runs the explorer on eight workers twice over
+// the same source and requires bit-identical graphs — state numbering
+// included — despite scheduling nondeterminism in the derive phase.
 func TestParallelDeterministic(t *testing.T) {
 	sp := lotos.MustParse("SPEC A WHERE PROC A = a1; A ||| b2; exit END ENDSPEC")
 	lim := Limits{MaxObsDepth: 5, MaxStates: 5000}
@@ -263,8 +237,7 @@ func TestParallelDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		es := exprSource{env: env}
-		g, err := ExploreSourceParallel(&es, lotos.Canon(sp.Root.Expr), sp.Root.Expr, lim, 8)
+		g, _, err := ExploreSource(&exprSource{env: env}, lotos.Canon(sp.Root.Expr), sp.Root.Expr, lim, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,17 +255,24 @@ func TestParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelPropagatesErrors checks a worker's derivation error aborts
-// the exploration and surfaces to the caller.
+// TestParallelPropagatesErrors checks that a derivation error aborts the
+// exploration and surfaces to the caller naming the first failing state in
+// frontier order, whatever the worker count and index.
 func TestParallelPropagatesErrors(t *testing.T) {
 	src := &fakeSource{
 		edges: map[string][]GenTransition{
 			"root": {obs("s0"), obs("s1"), obs("s2"), obs("s3")},
 			"s0":   {}, "s1": {}, "s2": {}, "s3": {},
 		},
-		failOn: "s2",
+		failOn: map[string]bool{"s1": true, "s3": true},
 	}
-	if _, err := ExploreSourceParallel(src, "root", "root", Limits{}, 4); err == nil {
-		t.Fatal("expected injected derivation failure, got nil")
+	for _, workers := range []int{1, 4} {
+		for _, spill := range []*SpillConfig{nil, {Dir: t.TempDir()}} {
+			_, _, err := ExploreSource(src, "root", "root", Limits{}, workers, spill)
+			// s1 is state 2: the root is 0 and s0 is 1.
+			if err == nil || !strings.Contains(err.Error(), "exploring state 2:") {
+				t.Errorf("workers=%d spill=%v: got %v, want the failure of state 2 (s1)", workers, spill != nil, err)
+			}
+		}
 	}
 }

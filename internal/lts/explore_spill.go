@@ -8,32 +8,30 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-
-	"repro/internal/lotos"
 )
 
 // Disk-spilling exploration.
 //
-// The in-memory explorers hold the complete visited index (key -> state id)
-// in one map, so the reachable state count is bounded by RAM. The spilling
-// explorer bounds the index instead: entries accumulate in a small map and,
-// whenever its estimated footprint crosses a byte budget, are written out as
-// a sorted run file. Because a key is only ever inserted after a lookup
-// missed, the in-memory map and every run hold pairwise-disjoint key sets,
-// and a lookup is a map probe plus one sequential merge against each run.
-// Lookups are batched per BFS level, so each level pays one linear pass over
+// The in-memory index holds every key -> state id pair in one map, so the
+// reachable state count is bounded by RAM. The spilling index bounds it
+// instead: entries accumulate in a small map and, whenever its estimated
+// footprint crosses a byte budget, are written out as a sorted run file.
+// Because a key is only ever inserted after a lookup missed, the in-memory
+// map and every run hold pairwise-disjoint key sets, and a lookup is a map
+// probe plus one sequential merge against each run. The explorer resolves
+// a whole derived level at once, so each level pays one linear pass over
 // the spilled runs regardless of how many keys it resolves.
 //
 // State payloads are dropped once a state has been expanded (an expanded
 // state is never re-derived — depth improvements propagate through its
-// cached edges), so the explorer's working set is the byte budget plus the
-// unexpanded frontier.
+// cached edges), so the working set is the byte budget plus the per-state
+// graph arrays and the unexpanded frontier.
 
-// DefaultSpillBudget is the default in-memory index budget of the spilling
-// explorer (bytes).
+// DefaultSpillBudget is the default in-memory budget of the spilling index
+// (bytes).
 const DefaultSpillBudget = 64 << 20
 
-// SpillConfig tunes the disk-spilling explorer.
+// SpillConfig tunes the disk-spilling visited index.
 type SpillConfig struct {
 	// Budget bounds the estimated in-memory index footprint in bytes; past
 	// it, the index spills a sorted run. 0 selects DefaultSpillBudget.
@@ -49,7 +47,7 @@ type SpillConfig struct {
 	StatsOnly bool
 }
 
-// SpillStats reports what the spilling explorer did.
+// SpillStats reports what a spilling exploration did.
 type SpillStats struct {
 	// States and Transitions count the distinct states discovered and the
 	// transitions derived from expanded states.
@@ -61,7 +59,8 @@ type SpillStats struct {
 	Runs         int   `json:"runs"`
 	SpilledBytes int64 `json:"spilledBytes"`
 	PeakMemBytes int64 `json:"peakMemBytes"`
-	// Truncated reports that MaxStates stopped the exploration.
+	// Truncated reports that MaxStates refused at least one state. A graph
+	// cut only by MaxDepth or MaxObsDepth is Graph.Truncated but not this.
 	Truncated bool `json:"truncated,omitempty"`
 }
 
@@ -87,15 +86,25 @@ type spillIndex struct {
 
 	runs         []spillRun
 	spilledBytes int64
+
+	// known holds the ids of the current level's target keys (resolve)
+	// and of every key put since.
+	known map[string]int
 }
 
 func newSpillIndex(dir string, budget int64) *spillIndex {
-	return &spillIndex{dir: dir, budget: budget, mem: map[string]int{}}
+	return &spillIndex{dir: dir, budget: budget, mem: map[string]int{}, known: map[string]int{}}
+}
+
+func (x *spillIndex) get(key string) (int, bool) {
+	id, ok := x.known[key]
+	return id, ok
 }
 
 // put inserts a key known to be absent from the index, spilling a run when
 // the in-memory footprint crosses the budget.
 func (x *spillIndex) put(key string, id int) error {
+	x.known[key] = id
 	x.mem[key] = id
 	x.memBytes += int64(len(key)) + spillEntryOverhead
 	if x.memBytes > x.peak {
@@ -155,21 +164,23 @@ func (x *spillIndex) flush() error {
 	return nil
 }
 
-// lookup resolves a batch of keys in one pass: a map probe per key, then one
-// sequential merge of the sorted misses against each run whose key range
-// intersects them. Returns the ids of every key present in the index.
-func (x *spillIndex) lookup(keys []string) (map[string]int, error) {
-	out := make(map[string]int, len(keys))
+// resolve looks up a level's target keys in one pass: a map probe per key,
+// then one sequential merge of the sorted misses against each run whose key
+// range intersects them.
+func (x *spillIndex) resolve(level [][]GenTransition) error {
+	x.known = map[string]int{}
 	var misses []string
-	for _, k := range keys {
-		if id, ok := x.mem[k]; ok {
-			out[k] = id
-		} else {
-			misses = append(misses, k)
+	for _, ts := range level {
+		for _, t := range ts {
+			if id, ok := x.mem[t.Key]; ok {
+				x.known[t.Key] = id
+			} else {
+				misses = append(misses, t.Key)
+			}
 		}
 	}
 	if len(misses) == 0 || len(x.runs) == 0 {
-		return out, nil
+		return nil
 	}
 	sort.Strings(misses)
 	uniq := misses[:1]
@@ -182,11 +193,11 @@ func (x *spillIndex) lookup(keys []string) (map[string]int, error) {
 		if uniq[len(uniq)-1] < run.min || uniq[0] > run.max {
 			continue
 		}
-		if err := run.scan(uniq, out); err != nil {
-			return nil, err
+		if err := run.scan(uniq, x.known); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // scan merges the sorted probe list against the run's sorted records,
@@ -242,13 +253,10 @@ func (x *spillIndex) stats(into *SpillStats) {
 	into.PeakMemBytes = x.peak
 }
 
-// ExploreSourceSpill is ExploreSource with the budget-bounded visited index.
-// It runs the same frontier-at-a-time BFS as ExploreSourceParallel (derive a
-// level, resolve the targets, merge in frontier order), so state numbering
-// is deterministic and matches the parallel explorer's; derivation itself is
-// serial. The second result carries the spill statistics; it is non-nil even
-// on error.
-func ExploreSourceSpill(src StateSource, rootKey string, root any, lim Limits, cfg SpillConfig) (*Graph, *SpillStats, error) {
+// exploreSpill runs an exploration over the budget-bounded index in a
+// temporary directory that it removes on return. The statistics are
+// non-nil even on error.
+func exploreSpill(src StateSource, rootKey string, root any, lim Limits, workers int, cfg SpillConfig) (*Graph, *SpillStats, error) {
 	stats := &SpillStats{}
 	if cfg.StatsOnly && (lim.MaxDepth > 0 || lim.MaxObsDepth > 0) {
 		return nil, stats, fmt.Errorf("lts: stats-only spill exploration supports the MaxStates limit only")
@@ -265,164 +273,21 @@ func ExploreSourceSpill(src StateSource, rootKey string, root any, lim Limits, c
 	idx := newSpillIndex(dir, budget)
 	defer idx.stats(stats)
 	if cfg.StatsOnly {
-		err := exploreSpillStats(src, rootKey, root, lim, idx, stats)
+		return nil, stats, exploreSpillStats(src, rootKey, root, lim, workers, idx, stats)
+	}
+	g, capped, err := explore(src, rootKey, root, lim, workers, idx)
+	if err != nil {
 		return nil, stats, err
 	}
-	g, err := exploreSpillFull(src, rootKey, root, lim, idx, stats)
-	return g, stats, err
-}
-
-// exploreSpillFull builds the full graph. The Graph's per-state arrays are
-// retained (they are the result), but state payloads are dropped at
-// expansion and the visited index spills past the budget. Graph.States keeps
-// only the payloads of never-expanded states (nil elsewhere).
-func exploreSpillFull(src StateSource, rootKey string, root any, lim Limits, idx *spillIndex, stats *SpillStats) (*Graph, error) {
-	maxStates := lim.MaxStates
-	if maxStates <= 0 {
-		maxStates = DefaultMaxStates
-	}
-	g := &Graph{Frontier: map[int]bool{}}
-	pending := map[int]any{} // unexpanded state id -> payload
-	obsDepth := []int{}
-	expanded := []bool{}
-	var addErr error
-	add := func(key string, st any, depth, obs int) int {
-		id := len(g.Keys)
-		if err := idx.put(key, id); err != nil && addErr == nil {
-			addErr = err
-		}
-		pending[id] = st
-		g.Keys = append(g.Keys, key)
-		g.Edges = append(g.Edges, nil)
-		g.Depth = append(g.Depth, depth)
-		obsDepth = append(obsDepth, obs)
-		expanded = append(expanded, false)
-		return id
-	}
-	add(rootKey, root, 0, 0)
-
-	level := []int{0}
-	for len(level) > 0 && addErr == nil {
-		var next []int
-		inNext := map[int]bool{}
-		enqueue := func(id int) {
-			if !inNext[id] {
-				inNext[id] = true
-				next = append(next, id)
-			}
-		}
-		relax := func(head int, e Edge) {
-			nd := obsDepth[head]
-			if e.Label.Observable() {
-				nd++
-			}
-			improved := false
-			if nd < obsDepth[e.To] {
-				obsDepth[e.To] = nd
-				improved = true
-			}
-			if d := g.Depth[head] + 1; d < g.Depth[e.To] {
-				g.Depth[e.To] = d
-				improved = true
-			}
-			if improved {
-				enqueue(e.To)
-			}
-		}
-
-		// Phase 1: split the level into states to expand and already-expanded
-		// states whose improvements propagate through their cached edges.
-		var toExpand []int
-		for _, id := range level {
-			switch {
-			case expanded[id]:
-				for _, e := range g.Edges[id] {
-					relax(id, e)
-				}
-			case lim.MaxDepth > 0 && g.Depth[id] >= lim.MaxDepth,
-				lim.MaxObsDepth > 0 && obsDepth[id] >= lim.MaxObsDepth:
-				g.Frontier[id] = true
-			default:
-				toExpand = append(toExpand, id)
-			}
-		}
-
-		// Phase 2: derive the level's successors and resolve every target
-		// key against the index in one batch.
-		results := make([][]GenTransition, len(toExpand))
-		var batchKeys []string
-		for i, id := range toExpand {
-			ts, err := src.Next(pending[id])
-			if err != nil {
-				return nil, fmt.Errorf("exploring state %d: %w", id, err)
-			}
-			results[i] = ts
-			for _, t := range ts {
-				batchKeys = append(batchKeys, t.Key)
-			}
-		}
-		known, err := idx.lookup(batchKeys)
-		if err != nil {
-			return nil, err
-		}
-
-		// Phase 3: merge in frontier order — the deterministic numbering.
-		// States added during this merge are tracked separately (the batch
-		// lookup predates them).
-		levelNew := map[string]int{}
-		for i, head := range toExpand {
-			expanded[head] = true
-			delete(g.Frontier, head)
-			delete(pending, head)
-			g.Edges[head] = make([]Edge, 0, len(results[i]))
-			stats.Transitions += int64(len(results[i]))
-			for j := range results[i] {
-				t := &results[i][j]
-				nd := obsDepth[head]
-				if t.Label.Observable() {
-					nd++
-				}
-				id, ok := levelNew[t.Key]
-				if !ok {
-					id, ok = known[t.Key]
-				}
-				if ok {
-					g.Edges[head] = append(g.Edges[head], Edge{Label: t.Label, To: id})
-					relax(head, Edge{Label: t.Label, To: id})
-					continue
-				}
-				if len(g.Keys) >= maxStates {
-					g.Frontier[head] = true
-					continue
-				}
-				to := add(t.Key, t.To, g.Depth[head]+1, nd)
-				levelNew[t.Key] = to
-				g.Edges[head] = append(g.Edges[head], Edge{Label: t.Label, To: to})
-				enqueue(to)
-			}
-		}
-		level = next
-	}
-	if addErr != nil {
-		return nil, addErr
-	}
-
-	g.States = make([]lotos.Expr, len(g.Keys))
-	for id, st := range pending {
-		if e, ok := st.(lotos.Expr); ok {
-			g.States[id] = e
-		}
-	}
-	g.ObsDepth = obsDepth
-	g.Truncated = len(g.Frontier) > 0
-	stats.States = int64(len(g.Keys))
-	stats.Truncated = g.Truncated
-	return g, nil
+	stats.States = int64(g.NumStates())
+	stats.Transitions = int64(g.NumTransitions())
+	stats.Truncated = capped
+	return g, stats, nil
 }
 
 // exploreSpillStats runs the census: a level-synchronous BFS that retains
-// only the bounded index, the current frontier's payloads, and counters.
-func exploreSpillStats(src StateSource, rootKey string, root any, lim Limits, idx *spillIndex, stats *SpillStats) error {
+// only the bounded index, the current level's payloads, and counters.
+func exploreSpillStats(src StateSource, rootKey string, root any, lim Limits, workers int, idx *spillIndex, stats *SpillStats) error {
 	maxStates := lim.MaxStates
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
@@ -431,31 +296,19 @@ func exploreSpillStats(src StateSource, rootKey string, root any, lim Limits, id
 		return err
 	}
 	states := 1
-	level := []any{root}
-	for len(level) > 0 {
-		results := make([][]GenTransition, len(level))
-		var batchKeys []string
-		for i, st := range level {
-			ts, err := src.Next(st)
-			if err != nil {
-				return err
-			}
-			results[i] = ts
-			stats.Transitions += int64(len(ts))
-			for _, t := range ts {
-				batchKeys = append(batchKeys, t.Key)
-			}
-		}
-		level = nil
-		known, err := idx.lookup(batchKeys)
+	for level := []any{root}; len(level) > 0; {
+		results, _, err := deriveAll(src, level, workers)
 		if err != nil {
 			return err
 		}
-		levelNew := map[string]bool{}
-		var next []any
+		if err := idx.resolve(results); err != nil {
+			return err
+		}
+		level = nil
 		for _, ts := range results {
+			stats.Transitions += int64(len(ts))
 			for _, t := range ts {
-				if _, ok := known[t.Key]; ok || levelNew[t.Key] {
+				if _, ok := idx.get(t.Key); ok {
 					continue
 				}
 				if states >= maxStates {
@@ -465,12 +318,10 @@ func exploreSpillStats(src StateSource, rootKey string, root any, lim Limits, id
 				if err := idx.put(t.Key, states); err != nil {
 					return err
 				}
-				levelNew[t.Key] = true
 				states++
-				next = append(next, t.To)
+				level = append(level, t.To)
 			}
 		}
-		level = next
 	}
 	stats.States = int64(states)
 	return nil

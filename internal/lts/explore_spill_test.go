@@ -1,6 +1,7 @@
 package lts
 
 import (
+	"fmt"
 	"reflect"
 	"strconv"
 	"testing"
@@ -29,8 +30,8 @@ func spillTestSource(n int) *fakeSource {
 }
 
 // assertGraphsIdentical requires byte-identical state numbering, keys and
-// edge tables — the spilling explorer's contract is exact agreement with the
-// in-memory explorers, not just bisimilarity.
+// edge tables — the spilling index's contract is exact agreement with the
+// in-memory one, not just bisimilarity.
 func assertGraphsIdentical(t *testing.T, a, b *Graph, what string) {
 	t.Helper()
 	if a.NumStates() != b.NumStates() || a.NumTransitions() != b.NumTransitions() {
@@ -51,45 +52,52 @@ func assertGraphsIdentical(t *testing.T, a, b *Graph, what string) {
 	}
 }
 
+// exploreSpilled runs the explorer over the spilling index.
+func exploreSpilled(t *testing.T, src StateSource, lim Limits, workers int, budget int64) (*Graph, *SpillStats) {
+	t.Helper()
+	g, stats, err := ExploreSource(src, "state-0", "state-0", lim, workers, &SpillConfig{Budget: budget, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, stats
+}
+
 // TestSpillMatchesInMemoryExplorers is the determinism contract: under a
-// budget tiny enough to force many spilled runs, the spilling explorer must
-// produce exactly the graph the parallel explorer produces (which in turn
-// agrees with the serial one on state sets; numbering is level-synchronous
-// in both).
+// budget tiny enough to force many spilled runs, the spilling index must
+// yield exactly the graph of the in-memory index at every worker count,
+// and of the reference explorer (without depth bounds no state is ever
+// re-queued, so FIFO and level-synchronous numbering coincide).
 func TestSpillMatchesInMemoryExplorers(t *testing.T) {
 	src := spillTestSource(900)
 	lim := Limits{MaxStates: 5000}
-	parallel, err := ExploreSourceParallel(src, "state-0", "state-0", lim, 4)
+	ref, err := refExplore(src, "state-0", "state-0", lim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spilled, stats, err := ExploreSourceSpill(src, "state-0", "state-0", lim, SpillConfig{Budget: 2048, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertGraphsIdentical(t, parallel, spilled, "spill vs parallel")
-	if stats.Runs == 0 {
-		t.Error("2KiB budget over ~950 states spilled no runs")
-	}
-	// The index spills when an insert crosses the budget, so the peak may
-	// overshoot by at most one entry (key bytes + bookkeeping overhead).
-	if slack := int64(2048 + spillEntryOverhead + 64); stats.PeakMemBytes > slack {
-		t.Errorf("peak index memory %d exceeds the 2048-byte budget beyond one entry (%d)", stats.PeakMemBytes, slack)
-	}
-	if stats.States != int64(parallel.NumStates()) || stats.Transitions != int64(parallel.NumTransitions()) {
-		t.Errorf("stats (%d states, %d transitions) disagree with the graph (%d, %d)",
-			stats.States, stats.Transitions, parallel.NumStates(), parallel.NumTransitions())
-	}
-
-	// The serial explorer discovers the same state set (numbering may agree
-	// or not; the key SETS must).
-	serial, err := ExploreSource(src, "state-0", "state-0", lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.NumStates() != spilled.NumStates() || serial.NumTransitions() != spilled.NumTransitions() {
-		t.Errorf("serial explorer sizes differ: %d/%d vs %d/%d",
-			serial.NumStates(), serial.NumTransitions(), spilled.NumStates(), spilled.NumTransitions())
+	for _, workers := range []int{1, 4} {
+		mem, _, err := ExploreSource(src, "state-0", "state-0", lim, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertGraphsIdentical(t, ref, mem, fmt.Sprintf("in-memory (workers=%d) vs ref", workers))
+		spilled, stats := exploreSpilled(t, src, lim, workers, 2048)
+		assertGraphsIdentical(t, ref, spilled, fmt.Sprintf("spill (workers=%d) vs ref", workers))
+		if stats.Runs == 0 {
+			t.Error("2KiB budget over ~950 states spilled no runs")
+		}
+		// The index spills when an insert crosses the budget, so the peak
+		// may overshoot by at most one entry (key bytes + bookkeeping
+		// overhead).
+		if slack := int64(2048 + spillEntryOverhead + 64); stats.PeakMemBytes > slack {
+			t.Errorf("peak index memory %d exceeds the 2048-byte budget beyond one entry (%d)", stats.PeakMemBytes, slack)
+		}
+		if stats.States != int64(ref.NumStates()) || stats.Transitions != int64(ref.NumTransitions()) {
+			t.Errorf("stats (%d states, %d transitions) disagree with the graph (%d, %d)",
+				stats.States, stats.Transitions, ref.NumStates(), ref.NumTransitions())
+		}
+		if stats.Truncated {
+			t.Error("uncapped exploration reported as truncated by the cap")
+		}
 	}
 }
 
@@ -98,38 +106,56 @@ func TestSpillMatchesInMemoryExplorers(t *testing.T) {
 func TestSpillLargeBudgetNeverSpills(t *testing.T) {
 	src := spillTestSource(300)
 	lim := Limits{MaxStates: 5000}
-	parallel, err := ExploreSourceParallel(src, "state-0", "state-0", lim, 2)
+	mem, _, err := ExploreSource(src, "state-0", "state-0", lim, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spilled, stats, err := ExploreSourceSpill(src, "state-0", "state-0", lim, SpillConfig{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertGraphsIdentical(t, parallel, spilled, "spill (no-spill path) vs parallel")
+	spilled, stats := exploreSpilled(t, src, lim, 2, 0)
+	assertGraphsIdentical(t, mem, spilled, "spill (no-spill path) vs in-memory")
 	if stats.Runs != 0 || stats.SpilledBytes != 0 {
 		t.Errorf("default budget spilled %d runs (%d bytes)", stats.Runs, stats.SpilledBytes)
 	}
 }
 
-// TestSpillTruncationMatchesParallel pins that MaxStates truncation cuts the
-// spilled exploration at the same level-synchronous boundary as the parallel
-// explorer — the differential suites compare truncated graphs too.
+// TestSpillTruncationMatchesParallel pins that MaxStates truncation cuts
+// the same prefix under the reference explorer, the in-memory index at
+// every worker count and the spilling index — the differential suites
+// compare truncated graphs too.
 func TestSpillTruncationMatchesParallel(t *testing.T) {
 	src := spillTestSource(900)
 	lim := Limits{MaxStates: 200}
-	parallel, err := ExploreSourceParallel(src, "state-0", "state-0", lim, 4)
+	ref, err := refExplore(src, "state-0", "state-0", lim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spilled, stats, err := ExploreSourceSpill(src, "state-0", "state-0", lim, SpillConfig{Budget: 1024, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
+	if !ref.Truncated {
+		t.Fatal("200-state cap over a 900-state graph did not truncate")
 	}
-	if !spilled.Truncated || !stats.Truncated {
-		t.Error("200-state cap over a 900-state graph did not truncate")
+	for _, workers := range []int{1, 4} {
+		mem, _, err := ExploreSource(src, "state-0", "state-0", lim, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertGraphsIdentical(t, ref, mem, fmt.Sprintf("truncated in-memory (workers=%d) vs ref", workers))
+		spilled, stats := exploreSpilled(t, src, lim, workers, 1024)
+		if !stats.Truncated {
+			t.Errorf("workers=%d: capped spill exploration not reported as truncated by the cap", workers)
+		}
+		assertGraphsIdentical(t, ref, spilled, fmt.Sprintf("truncated spill (workers=%d) vs ref", workers))
 	}
-	assertGraphsIdentical(t, parallel, spilled, "truncated spill vs parallel")
+}
+
+// TestSpillDepthBoundIsNotCapTruncation pins SpillStats.Truncated to the
+// state cap: an exploration cut only by the observable-depth bound is a
+// truncated graph, but the cap refused nothing.
+func TestSpillDepthBoundIsNotCapTruncation(t *testing.T) {
+	g, stats := exploreSpilled(t, spillTestSource(400), Limits{MaxObsDepth: 3}, 1, 1024)
+	if !g.Truncated {
+		t.Error("obs-depth-bounded exploration of a 400-state ring is not Graph.Truncated")
+	}
+	if stats.Truncated {
+		t.Error("SpillStats.Truncated set although no state cap was hit")
+	}
 }
 
 // TestSpillStatsOnly checks the counting mode: same state and transition
@@ -138,11 +164,8 @@ func TestSpillTruncationMatchesParallel(t *testing.T) {
 func TestSpillStatsOnly(t *testing.T) {
 	src := spillTestSource(400)
 	lim := Limits{MaxStates: 5000}
-	full, fullStats, err := ExploreSourceSpill(src, "state-0", "state-0", lim, SpillConfig{Budget: 2048, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, stats, err := ExploreSourceSpill(src, "state-0", "state-0", lim, SpillConfig{Budget: 2048, Dir: t.TempDir(), StatsOnly: true})
+	full, fullStats := exploreSpilled(t, src, lim, 1, 2048)
+	g, stats, err := ExploreSource(src, "state-0", "state-0", lim, 1, &SpillConfig{Budget: 2048, Dir: t.TempDir(), StatsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +180,7 @@ func TestSpillStatsOnly(t *testing.T) {
 		t.Errorf("full graph has %d states, stats-only counted %d", full.NumStates(), stats.States)
 	}
 
-	if _, _, err := ExploreSourceSpill(src, "state-0", "state-0", Limits{MaxObsDepth: 3}, SpillConfig{StatsOnly: true}); err == nil {
+	if _, _, err := ExploreSource(src, "state-0", "state-0", Limits{MaxObsDepth: 3}, 1, &SpillConfig{StatsOnly: true}); err == nil {
 		t.Error("stats-only with a depth limit did not error")
 	}
 }
@@ -166,8 +189,8 @@ func TestSpillStatsOnly(t *testing.T) {
 // surfaces as an error (with non-nil stats) rather than a partial graph.
 func TestSpillDerivationErrorPropagates(t *testing.T) {
 	src := spillTestSource(100)
-	src.failOn = "state-50"
-	g, stats, err := ExploreSourceSpill(src, "state-0", "state-0", Limits{MaxStates: 5000}, SpillConfig{Budget: 1024, Dir: t.TempDir()})
+	src.failOn = map[string]bool{"state-50": true}
+	g, stats, err := ExploreSource(src, "state-0", "state-0", Limits{MaxStates: 5000}, 1, &SpillConfig{Budget: 1024, Dir: t.TempDir()})
 	if err == nil {
 		t.Fatal("injected derivation failure did not surface")
 	}

@@ -281,9 +281,12 @@ func (o VerifyRequestOptions) reductionFingerprint() string {
 	return name
 }
 
+// fingerprint is the verify cache key. Parallel and Workers are left out:
+// the explored graph, and so the response, is the same for every worker
+// count.
 func (o VerifyRequestOptions) fingerprint() string {
-	return fmt.Sprintf("%s cap=%d obs=%d max=%d par=%t w=%d diff=%d comp=%t faults=%s red=%s spill=%d",
-		o.DeriveRequestOptions.fingerprint(), o.ChannelCap, o.ObsDepth, o.MaxStates, o.Parallel, o.Workers,
+	return fmt.Sprintf("%s cap=%d obs=%d max=%d diff=%d comp=%t faults=%s red=%s spill=%d",
+		o.DeriveRequestOptions.fingerprint(), o.ChannelCap, o.ObsDepth, o.MaxStates,
 		o.TraceDiffLimit, o.Compositional, o.faultFingerprint(), o.reductionFingerprint(), o.SpillBudget)
 }
 

@@ -329,8 +329,10 @@ func TestVerifyParallelMatchesSerial(t *testing.T) {
 	par := decode[VerifyResponse](t, postJSON(t, ts.URL+"/v1/verify", VerifyRequest{
 		Spec: validSpec, Options: VerifyRequestOptions{ObsDepth: 6, Parallel: true, Workers: 4},
 	}))
-	if par.Cached {
-		t.Error("parallel options shared the serial cache entry")
+	// The explorer's graph does not depend on the worker count, so the
+	// parallel request is served from the serial entry.
+	if !par.Cached {
+		t.Error("parallel options missed the serial cache entry")
 	}
 	if serial.Ok != par.Ok || serial.ComposedStates != par.ComposedStates {
 		t.Errorf("serial %+v vs parallel %+v", serial, par)

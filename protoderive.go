@@ -25,6 +25,7 @@ package protoderive
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -456,13 +457,13 @@ type VerifyOptions struct {
 	ChannelCap int
 	ObsDepth   int
 	MaxStates  int
-	// Parallel explores the composed product state space with the
-	// parallel frontier-at-a-time explorer (one worker per CPU by
-	// default). The verdict is unchanged — the parallel explorer produces
-	// a graph with the same state keys and weakly bisimilar behaviour —
-	// but large compositions finish faster on multi-core hosts.
+	// Parallel derives each level of the composed product's breadth-first
+	// exploration on a pool of workers (one per CPU by default). The
+	// explored graph, and so the verdict, is unchanged, but large
+	// compositions finish faster on multi-core hosts.
 	Parallel bool
 	// Workers overrides the parallel worker-pool size (0 = GOMAXPROCS).
+	// Ignored unless Parallel is set.
 	Workers int
 	// Faults composes medium faults into the product (zero = reliable).
 	Faults FaultModel
@@ -489,6 +490,20 @@ type VerifyOptions struct {
 	// SpillBudget bounds the in-memory visited index (bytes) when the
 	// reduction set includes "spill" (0 = the exploration default).
 	SpillBudget int64
+}
+
+// workers maps Parallel and Workers onto the explorer's worker count: 0
+// (inline derivation) unless Parallel is set, then Workers or, when that
+// is 0, one worker per CPU.
+func (o *VerifyOptions) workers() int {
+	switch {
+	case !o.Parallel:
+		return 0
+	case o.Workers > 0:
+		return o.Workers
+	default:
+		return runtime.GOMAXPROCS(0)
+	}
 }
 
 // VerifyReport is the verification verdict for the Section-5 correctness
@@ -715,8 +730,7 @@ func (p *Protocol) Verify(opts *VerifyOptions) (out *VerifyReport, err error) {
 		ChannelCap:     o.ChannelCap,
 		ObsDepth:       o.ObsDepth,
 		MaxStates:      o.MaxStates,
-		Parallel:       o.Parallel,
-		Workers:        o.Workers,
+		Workers:        o.workers(),
 		Faults:         o.Faults.compose(),
 		TraceDiffLimit: o.TraceDiffLimit,
 		Compositional:  o.Compositional,
@@ -793,8 +807,7 @@ func (p *Protocol) VerifyMatrix(models []FaultModel, opts *VerifyOptions) (cells
 		ChannelCap:     o.ChannelCap,
 		ObsDepth:       o.ObsDepth,
 		MaxStates:      o.MaxStates,
-		Parallel:       o.Parallel,
-		Workers:        o.Workers,
+		Workers:        o.workers(),
 		TraceDiffLimit: o.TraceDiffLimit,
 		Compositional:  o.Compositional,
 		EntityProvider: p.entityProvider(o),
@@ -1082,8 +1095,7 @@ func (p *Protocol) Optimize(opts *VerifyOptions) (out *OptimizeReport, err error
 		ChannelCap: o.ChannelCap,
 		ObsDepth:   o.ObsDepth,
 		MaxStates:  o.MaxStates,
-		Parallel:   o.Parallel,
-		Workers:    o.Workers,
+		Workers:    o.workers(),
 	})
 	if err != nil {
 		return nil, err

@@ -144,9 +144,9 @@ func witnessSummary(w *Witness) string {
 }
 
 // TestCorpusSerialParallelSpilledAgree pins that, within one reduction set,
-// the three exploration engines — serial, parallel, and out-of-core with a
-// spilling visited index — are interchangeable: byte-identical verdict
-// fields, state counts, and witnesses on every corpus cell.
+// the explorer inline, on four workers, and over the spilling visited index
+// is interchangeable: byte-identical verdict fields, state counts, and
+// witnesses on every corpus cell.
 func TestCorpusSerialParallelSpilledAgree(t *testing.T) {
 	protos := corpusProtocols(t)
 	for name, proto := range protos {
