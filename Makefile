@@ -89,17 +89,22 @@ dist-smoke:
 	$(GO) test -race -count=1 ./internal/dist/
 	$(GO) test -race -count=1 -run '^(TestDistSmoke|TestCoordinatorEndToEnd|TestServeUntilDrainsInFlight|TestServeUntilGraceExceeded)$$' ./cmd/pgd/
 
-# live-smoke is the deployment gate: the wire codec, endpoint and
-# coordinator tests, the in-process corpus differential (every corpus spec
-# deployed over loopback TCP, the seeded session byte-identical to the
-# lockstep simulation with the same seed), the trace-log conformance
+# live-smoke is the deployment gate. The coordinator runs sim's lockstep
+# core over the entity processes, so live equals lockstep by construction;
+# the in-process corpus differential (every corpus spec deployed over
+# loopback TCP, the seeded session byte-identical to the lockstep
+# simulation with the same seed) is the regression check of that. With it:
+# the wire codec, endpoint and coordinator tests, the trace-log conformance
 # checker, the fault-injection proxy mirrored frame-for-frame against the
 # in-process medium, the PR-4 transport fault matrix re-established on
-# real sockets, and the pgdeploy binary suite — entities as real OS
-# processes, interpreter fallback live, crash/restart classified
-# incomplete. All under the race detector.
+# real sockets, the pgdeploy binary suite — entities as real OS processes,
+# interpreter fallback live, crash/restart classified incomplete — and the
+# lockstep golden, which pins the executions of the shared core (corpus
+# sessions, witness replays, the smoke cluster fingerprint). All under the
+# race detector.
 live-smoke:
 	$(GO) test -race -count=1 ./internal/wire/ ./internal/wire/conformance/ ./internal/wire/wiretest/ ./cmd/pgdeploy/
+	$(GO) test -race -count=1 -run '^TestLockstepGolden$$' .
 
 # fuzz-smoke runs each native fuzz target briefly; long fuzzing sessions
 # use `go test -fuzz` directly with a bigger -fuzztime.

@@ -373,18 +373,14 @@ func (m *Model) Run() (*Result, error) {
 	return r, nil
 }
 
-// classify names a finished session's outcome.
+// classify names a finished session's outcome: the sim classification,
+// with a stuck lockstep run (sim's timed-out) reported as "stuck".
 func classify(res *sim.Result) string {
-	switch {
-	case res.Completed:
-		return "completed"
-	case res.Deadlocked:
-		return "deadlocked"
-	case res.Stopped:
-		return "stopped"
-	default:
-		return "stuck"
+	switch o := res.Outcome(); o {
+	case sim.OutcomeCompleted, sim.OutcomeDeadlocked, sim.OutcomeStopped:
+		return string(o)
 	}
+	return "stuck"
 }
 
 // routerName canonicalizes the scenario's router field ("" means the

@@ -66,14 +66,14 @@ func RunMany(service *lotos.Spec, entities map[int]*lotos.Spec, cfg Config, n in
 		st.Runs++
 		st.Events += len(res.Trace)
 		st.Sent += res.Medium.Sent
-		switch {
-		case res.Completed:
+		switch res.Outcome() {
+		case OutcomeCompleted:
 			st.Completed++
-		case res.Deadlocked:
+		case OutcomeDeadlocked:
 			st.Deadlocked++
-		case res.TimedOut:
+		case OutcomeTimedOut:
 			st.TimedOut++
-		case res.Stopped:
+		case OutcomeStopped:
 			st.Stopped++
 		}
 	}

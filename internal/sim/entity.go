@@ -1,18 +1,22 @@
 package sim
 
-// The single-entity seam: one protocol entity stepped by an EXTERNAL
-// scheduler. The wire deployment (internal/wire) runs each derived entity in
-// its own OS process; a coordinator grants steps over TCP in exactly the
-// order the in-process lockstep scheduler (Session.StepN) would, so a
+// EntityStepper: one protocol entity executed one step at a time. In
+// process, it is the unit the schedulers drive — the lockstep core visits
+// it once per sweep (Session), a concurrent Run gives it a goroutine of its
+// own (run). The wire deployment (internal/wire) runs each derived entity
+// in its own OS process around one EntityStepper, while the lockstep core
+// runs in the coordinator, visiting each entity over TCP: same stepper
+// engines, same candidate scan, same random-choice consumption, so a
 // distributed session with seed s is the same execution as Run with
-// Config{Lockstep: true, Seed: s}. EntityStepper is the runner loop of one
-// entity exposed for that driver: same stepper engines, same candidate
-// scan, same random-choice consumption — the engine-independent scheduling
-// contract of stepOnce, verbatim.
+// Config{Lockstep: true, Seed: s}. Its exact steps and enabledness reports
+// are also what witness replay runs on, in process (ReplayWitnessEngine)
+// and live (the coordinator's replay).
 
 import (
 	"fmt"
+	"math/rand/v2"
 
+	"repro/internal/compose"
 	"repro/internal/fsm"
 	"repro/internal/lotos"
 	"repro/internal/medium"
@@ -30,116 +34,209 @@ func RunnerSeed(seed int64, placeIndex int) int64 {
 	return SubSeed(seed, roleRunner, placeIndex)
 }
 
-// StepOutcome reports one external step of an entity.
+// StepOutcome reports one step of an entity.
 type StepOutcome struct {
 	// Progressed reports that the entity executed a transition.
 	Progressed bool
 	// Done reports successful termination (the δ transition fired); the
 	// entity must not be stepped again.
 	Done bool
-	// Event is the service primitive executed this step, if any.
+	// Event is the service primitive executed this step, if any. It may
+	// point into the entity's transition row: valid until the next step.
 	Event *lotos.Event
 }
 
-// EntityStepper drives one protocol entity against an arbitrary
-// medium.Transport, one stepOnce at a time, on the caller's goroutine.
-// It is single-goroutine state: not safe for concurrent use.
+// EntityStepper drives one protocol entity against a medium.Transport, one
+// step at a time, on the caller's goroutine. It is single-goroutine state:
+// not safe for concurrent use.
 type EntityStepper struct {
-	r      *runner
-	w      *world
-	engine Engine
-	done   bool
+	place   int
+	step    stepper
+	engine  Engine
+	med     medium.Transport
+	world   *world // the in-process run's record; nil under an external scheduler
+	harness Harness
+	rng     *rand.Rand
+	cands   []int // reused candidate buffer
+	done    bool
 }
 
-// NewEntityStepper builds the external-scheduler seam for one entity.
-// machine selects the compiled engine when non-nil; otherwise spec is
-// interpreted by the AST engine (exactly the per-entity fallback of
-// buildRunners). seed must be RunnerSeed(runSeed, placeIndex) and harness
-// the shared run harness for the execution to match an in-process run.
+// NewEntityStepper builds one entity. machine selects the compiled engine
+// when non-nil; otherwise spec is interpreted by the AST engine (the
+// per-entity fallback of a mixed fleet). seed must be
+// RunnerSeed(runSeed, placeIndex) and harness the shared run harness for
+// the execution to match an in-process run.
 func NewEntityStepper(place int, spec *lotos.Spec, machine *fsm.Machine, med medium.Transport, harness Harness, seed int64) (*EntityStepper, error) {
 	if harness == nil {
 		return nil, fmt.Errorf("sim: entity stepper needs a harness")
 	}
-	var st stepper
-	engine := EngineAST
-	if machine != nil {
-		st = newFSMStepper(machine)
-		engine = EngineFSM
-	} else {
-		if spec == nil {
-			return nil, fmt.Errorf("sim: entity %d: no compiled machine and no specification to interpret", place)
-		}
-		ast, err := newASTStepper(place, spec)
-		if err != nil {
-			return nil, err
-		}
-		st = ast
-	}
-	// A private single-entity world collects this entity's executed service
-	// primitives; the external scheduler owns the global trace, MaxEvents
-	// accounting and stop conditions, so the local world never stops.
-	w := newWorld(1, med, 0)
-	r := newRunner(place, st, med, w, Config{Harness: harness}, seed)
-	return &EntityStepper{r: r, w: w, engine: engine}, nil
-}
-
-// Engine reports which engine the stepper runs (EngineFSM when compiled).
-func (e *EntityStepper) Engine() Engine { return e.engine }
-
-// StepOnce attempts one transition, exactly as one lockstep sweep visit
-// would. After termination it reports Done without stepping.
-func (e *EntityStepper) StepOnce() (StepOutcome, error) {
-	if e.done {
-		return StepOutcome{Done: true}, nil
-	}
-	before := e.events()
-	progressed, done, err := e.r.stepOnce()
+	st, engine, err := newStepper(place, spec, machine)
 	if err != nil {
-		return StepOutcome{}, err
+		return nil, err
 	}
-	out := StepOutcome{Progressed: progressed, Done: done}
-	if done {
-		e.done = true
-	}
-	if after := e.eventAt(before); after != nil {
-		out.Event = after
-	}
-	return out, nil
+	return &EntityStepper{
+		place: place, step: st, engine: engine, med: med,
+		harness: harness, rng: rand.New(newPCG(seed)),
+	}, nil
 }
 
-// events returns how many service primitives the entity has executed.
-func (e *EntityStepper) events() int {
-	e.w.mu.Lock()
-	defer e.w.mu.Unlock()
-	return len(e.w.trace)
+// newPCG seeds a PCG stream from a scheduling seed. Seeding is O(1) — the
+// previous lagged-Fibonacci source spent ~10µs per runner filling its state
+// vector, which dominated short simulation runs (see BenchmarkSimulate).
+func newPCG(seed int64) *rand.PCG {
+	return rand.NewPCG(uint64(seed), 0x9e3779b97f4a7c15)
 }
 
-// eventAt returns the event recorded at index i (nil when none was).
-func (e *EntityStepper) eventAt(i int) *lotos.Event {
-	e.w.mu.Lock()
-	defer e.w.mu.Unlock()
-	if i >= len(e.w.trace) {
-		return nil
-	}
-	ev := e.w.trace[i].Ev
-	return &ev
-}
+// Place implements LockstepEntity.
+func (e *EntityStepper) Place() int { return e.place }
 
 // Describe renders the entity's current state for diagnostics.
 func (e *EntityStepper) Describe() string {
 	if e.done {
 		return "terminated"
 	}
-	return e.r.step.describe()
+	return e.step.describe()
+}
+
+// StepOnce evaluates the current transition row and executes at most one
+// transition — one lockstep sweep visit. The random-choice structure (one
+// optional user-interaction lottery, then a uniform pick among executable
+// candidates) is the engine-independent scheduling contract: both steppers
+// feed it identical rows, so a seeded run produces the same execution under
+// either engine. After termination it reports Done without stepping.
+func (e *EntityStepper) StepOnce() (StepOutcome, error) {
+	if e.done {
+		return StepOutcome{Done: true}, nil
+	}
+	n, err := e.step.reload()
+	if err != nil {
+		return StepOutcome{}, err
+	}
+	e.cands = e.cands[:0]
+	for i := 0; i < n; i++ {
+		switch e.step.op(i) {
+		case fsm.OpDelta, fsm.OpInternal, fsm.OpSend:
+			e.cands = append(e.cands, i)
+		case fsm.OpRecv, fsm.OpRecvFlush:
+			// Peek: enabled only if the wanted message is consumable. The
+			// actual consumption happens in execute, which re-checks
+			// (another branch cannot steal it: only this entity consumes
+			// this channel).
+			if e.consumable(i) {
+				e.cands = append(e.cands, i)
+			}
+		}
+	}
+
+	// Possibly attempt a user interaction this step. A successful Choose
+	// CLAIMS the offer (a scripted harness advances its cursor), so an
+	// accepted service primitive must be executed immediately — it may not
+	// lose a lottery against the other candidates.
+	if offered, offeredIdx := e.step.offers(); len(offered) > 0 {
+		attempt := len(e.cands) == 0 || e.rng.IntN(len(e.cands)+1) == len(e.cands)
+		if attempt {
+			if pick := e.harness.Choose(e.place, offered); pick >= 0 && pick < len(offered) {
+				out := StepOutcome{Progressed: true, Event: &offered[pick]}
+				return out, e.step.advance(int(offeredIdx[pick]))
+			}
+		}
+	}
+
+	if len(e.cands) == 0 {
+		return StepOutcome{}, nil
+	}
+	i := e.cands[e.rng.IntN(len(e.cands))]
+	if e.step.op(i) == fsm.OpDelta {
+		e.done = true
+		return StepOutcome{Progressed: true, Done: true}, nil
+	}
+	if err := e.execute(i); err != nil {
+		return StepOutcome{}, err
+	}
+	return StepOutcome{Progressed: true}, e.step.advance(i)
+}
+
+// consumable reports whether receive transition i of the current row can
+// consume its message now.
+func (e *EntityStepper) consumable(i int) bool {
+	want := medium.WantedBy(e.place, e.step.ev(i))
+	if e.step.op(i) == fsm.OpRecvFlush {
+		return e.med.TryConsumeFlushCheck(want)
+	}
+	return e.med.TryConsumeCheck(want)
+}
+
+// execute performs the medium side effect of transition i of the current
+// row: a send enqueues its message, a receive consumes its message;
+// internal transitions and service primitives touch nothing.
+func (e *EntityStepper) execute(i int) error {
+	switch op := e.step.op(i); op {
+	case fsm.OpInternal, fsm.OpService:
+		return nil
+	case fsm.OpSend:
+		e.med.Send(medium.MessageFor(e.place, e.step.ev(i)))
+		return nil
+	case fsm.OpRecv, fsm.OpRecvFlush:
+		want := medium.WantedBy(e.place, e.step.ev(i))
+		consumed := false
+		if op == fsm.OpRecvFlush {
+			consumed = e.med.TryConsumeFlush(want)
+		} else {
+			consumed = e.med.TryConsume(want)
+		}
+		if !consumed {
+			return fmt.Errorf("sim: entity %d cannot consume %s", e.place, want)
+		}
+		return nil
+	}
+	return fmt.Errorf("sim: entity %d: unexpected transition op %s", e.place, e.step.op(i))
+}
+
+// Visit is one scheduling visit of an in-process entity — the
+// LockstepEntity contract of the lockstep core, and the body of the
+// concurrent run loop: StepOnce, with its effect published to the world (an
+// executed service primitive recorded, a termination counted, any other
+// progress broadcast to the entities waiting on the world).
+func (e *EntityStepper) Visit() (progressed, done, event bool, err error) {
+	out, err := e.StepOnce()
+	switch {
+	case err != nil:
+	case out.Event != nil:
+		e.world.record(e.place, *out.Event)
+	case out.Done:
+		e.world.markDone()
+	case out.Progressed:
+		e.world.bump()
+	}
+	return out.Progressed, out.Done, out.Event != nil, err
+}
+
+// run executes the entity concurrently with the others until successful
+// termination or a world stop.
+func (e *EntityStepper) run() error {
+	for !e.world.isStopped() {
+		gen := e.world.generation()
+		medGen := e.med.Generation()
+		progressed, done, _, err := e.Visit()
+		if err != nil || done {
+			return err
+		}
+		// Without progress, block until the world moves (message arrival,
+		// script progress, other entities, stop) — unless a message arrived
+		// meanwhile: then re-evaluate at once.
+		if !progressed && e.med.Generation() == medGen {
+			e.world.await(gen)
+		}
+	}
+	return nil
 }
 
 // Enabled classifies the entity's current transition row for a global
-// quiescence check: the external scheduler combines the per-entity reports
-// into the composition-level enabledness verdict (mirroring the replayer's
-// anyEnabled). SendTargets lists the destination place of every send
-// transition (enabledness of a send is a global question — it depends on
-// the receiver's queue occupancy against the channel capacity — so the
-// stepper only reports the offer).
+// quiescence check: AnyEnabled folds the per-entity reports into the
+// composition-level enabledness verdict. SendTargets lists the destination
+// place of every send transition (enabledness of a send is a global
+// question — it depends on the receiver's queue occupancy against the
+// channel capacity — so the stepper only reports the offer).
 type Enabled struct {
 	// Delta reports a successful-termination transition.
 	Delta bool
@@ -159,7 +256,7 @@ func (e *EntityStepper) Enabledness() (Enabled, error) {
 	if e.done {
 		return en, nil
 	}
-	s := e.r.step
+	s := e.step
 	n, err := s.reload()
 	if err != nil {
 		return en, err
@@ -172,64 +269,67 @@ func (e *EntityStepper) Enabledness() (Enabled, error) {
 			en.Local = true
 		case fsm.OpSend:
 			en.SendTargets = append(en.SendTargets, s.ev(i).Place)
-		case fsm.OpRecv:
-			if e.r.med.TryConsumeCheck(medium.WantedBy(e.r.place, s.ev(i))) {
-				en.RecvReady = true
-			}
-		case fsm.OpRecvFlush:
-			if e.r.med.TryConsumeFlushCheck(medium.WantedBy(e.r.place, s.ev(i))) {
-				en.RecvReady = true
-			}
+		case fsm.OpRecv, fsm.OpRecvFlush:
+			en.RecvReady = en.RecvReady || e.consumable(i)
 		}
 	}
 	return en, nil
 }
 
+// ExactOp maps a witness step kind (compose.Step*) to the transition op an
+// exact step of that kind fires; medium faults and δ have none.
+func ExactOp(kind string) (fsm.Op, bool) {
+	switch kind {
+	case compose.StepInternal:
+		return fsm.OpInternal, true
+	case compose.StepService:
+		return fsm.OpService, true
+	case compose.StepSend:
+		return fsm.OpSend, true
+	case compose.StepRecv:
+		return fsm.OpRecv, true
+	}
+	return 0, false
+}
+
 // StepExact executes transition tindex of the current row, validating that
-// its dispatch kind matches want — the distributed face of witness replay
-// (sim.ReplayWitness's per-step execution, with the medium fault steps
-// handled elsewhere). wantService/wantSend/... use the compose step-kind
-// strings; the caller maps them to fsm ops via ExactKind.
+// its dispatch kind matches want (a receive grant accepts a flushing
+// receive) — one entity step of a witness replay, whose medium fault steps
+// are the replayer's. want == fsm.OpDelta takes the entity's δ transition
+// regardless of tindex (the witness's δ step is a single global
+// transition).
 func (e *EntityStepper) StepExact(tindex int, want fsm.Op) (StepOutcome, error) {
 	if e.done {
-		return StepOutcome{}, fmt.Errorf("sim: entity %d already terminated", e.r.place)
+		return StepOutcome{}, fmt.Errorf("sim: entity %d already terminated", e.place)
 	}
-	s := e.r.step
+	s := e.step
 	n, err := s.reload()
 	if err != nil {
 		return StepOutcome{}, err
 	}
 	if want == fsm.OpDelta {
-		// Global termination: take the entity's δ transition regardless of
-		// tindex (the witness's δ step is a single global transition).
 		for i := 0; i < n; i++ {
 			if s.op(i) == fsm.OpDelta {
-				if err := s.advance(i); err != nil {
-					return StepOutcome{}, err
-				}
 				e.done = true
-				return StepOutcome{Progressed: true, Done: true}, nil
+				return StepOutcome{Progressed: true, Done: true}, s.advance(i)
 			}
 		}
-		return StepOutcome{}, fmt.Errorf("sim: entity %d cannot terminate", e.r.place)
+		return StepOutcome{}, fmt.Errorf("sim: entity %d cannot terminate", e.place)
 	}
 	if tindex < 0 || tindex >= n {
-		return StepOutcome{}, fmt.Errorf("sim: entity %d has %d transitions, step selects #%d", e.r.place, n, tindex)
+		return StepOutcome{}, fmt.Errorf("sim: entity %d has %d transitions, step selects #%d", e.place, n, tindex)
 	}
 	op := s.op(tindex)
 	if op != want && !(want == fsm.OpRecv && op == fsm.OpRecvFlush) {
-		return StepOutcome{}, fmt.Errorf("sim: entity %d transition #%d is %s, not %s", e.r.place, tindex, op, want)
+		return StepOutcome{}, fmt.Errorf("sim: entity %d transition #%d is %s, not %s", e.place, tindex, op, want)
 	}
-	before := e.events()
-	if err := e.r.execute(tindex); err != nil {
-		return StepOutcome{}, err
-	}
-	if err := s.advance(tindex); err != nil {
+	if err := e.execute(tindex); err != nil {
 		return StepOutcome{}, err
 	}
 	out := StepOutcome{Progressed: true}
-	if after := e.eventAt(before); after != nil {
-		out.Event = after
+	if op == fsm.OpService {
+		ev := s.ev(tindex)
+		out.Event = &ev
 	}
-	return out, nil
+	return out, s.advance(tindex)
 }

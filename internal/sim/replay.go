@@ -9,15 +9,18 @@ package sim
 // and the medium runs with zero delay and no random faults — targeted
 // DropAt/DuplicateAt/SwapAt calls reproduce the fault events instead.
 //
-// Replay runs on the same stepper abstraction as the simulator, so a witness
-// can be replayed through either engine: the compiled tables preserve
-// per-state transition order (the TIndex a witness step pins selects the
-// same transition in both), which the FSM replay regression suite checks
-// across the whole fault-matrix corpus.
+// Entity steps run through EntityStepper.StepExact and the final
+// enabledness check folds EntityStepper.Enabledness reports through
+// AnyEnabled — the same entity-side code the live deployment replays and
+// schedules with — so a witness can be replayed through either engine: the
+// compiled tables preserve per-state transition order (the TIndex a witness
+// step pins selects the same transition in both), which the FSM replay
+// regression suite checks across the whole fault-matrix corpus. The
+// replayer keeps only the checks that need the whole medium: fault steps,
+// channel capacity before a send, and queue occupancy.
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/compose"
 	"repro/internal/fsm"
@@ -50,11 +53,32 @@ type ReplayResult struct {
 // replayer holds the concrete system state during a witness replay.
 type replayer struct {
 	places []int
-	steps  map[int]stepper
-	med    *medium.Medium
-	cap    int
+	ents   map[int]*EntityStepper
+	med    *boundedMedium
 	faults compose.FaultModel
 }
+
+// boundedMedium is the replay medium: the composition's channels hold at
+// most cap messages, so a send into a full queue is not a transition of the
+// composed system. Send refuses it and keeps the refusal for the replayer
+// to report (a medium.Transport send cannot fail).
+type boundedMedium struct {
+	*medium.Medium
+	cap     int
+	refused error
+}
+
+// Send implements medium.Transport with the capacity bound.
+func (m *boundedMedium) Send(msg medium.Message) {
+	if len(m.Pending(msg.From, msg.To)) >= m.cap {
+		m.refused = fmt.Errorf("channel %d->%d is at capacity %d, send blocks", msg.From, msg.To, m.cap)
+		return
+	}
+	m.Medium.Send(msg)
+}
+
+// queued reports a channel's occupancy.
+func (m *boundedMedium) queued(from, to int) int { return len(m.Pending(from, to)) }
 
 // ReplayWitness re-executes a counterexample through the AST interpreter
 // and returns what the concrete system did. Each witness step is validated
@@ -77,40 +101,27 @@ func ReplayWitnessEngine(entities map[int]*lotos.Spec, w *compose.Witness, engin
 	// composed system is a root deadlock and the witness has no steps, so
 	// replay degenerates to the final enabledness check.
 	rp := &replayer{
-		steps:  map[int]stepper{},
-		med:    medium.New(medium.Config{}),
-		cap:    w.ChannelCap,
+		places: sortedPlaces(entities),
+		ents:   make(map[int]*EntityStepper, len(entities)),
+		med:    &boundedMedium{Medium: medium.New(medium.Config{}), cap: w.ChannelCap},
 		faults: w.Faults,
 	}
-	if rp.cap <= 0 {
-		rp.cap = compose.DefaultChannelCap
+	if rp.med.cap <= 0 {
+		rp.med.cap = compose.DefaultChannelCap
 	}
 	defer rp.med.Close()
-	if engine == EngineFSM && fleet == nil {
-		fleet = fsm.CompileEntities(entities, fsm.Config{})
-	}
+	machines := engineMachines(entities, engine, fleet, fsm.Config{})
+	// Every choice is pinned by the witness: the harness is never consulted.
+	harness := NewScripted(nil)
 	engines := make(map[int]Engine, len(entities))
-	for p, sp := range entities {
-		var st stepper
-		engines[p] = EngineAST
-		if engine == EngineFSM {
-			if m := fleet.Machines[p]; m != nil {
-				st = newFSMStepper(m)
-				engines[p] = EngineFSM
-			}
+	for _, p := range rp.places {
+		e, err := NewEntityStepper(p, entities[p], machines[p], rp.med, harness, 0)
+		if err != nil {
+			return nil, err
 		}
-		if st == nil {
-			ast, err := newASTStepper(p, sp)
-			if err != nil {
-				return nil, err
-			}
-			st = ast
-		}
-		rp.places = append(rp.places, p)
-		rp.steps[p] = st
+		rp.ents[p] = e
+		engines[p] = e.engine
 	}
-	sort.Ints(rp.places)
-
 	res := &ReplayResult{Engines: engines}
 	for i, st := range w.Steps {
 		if err := rp.step(st, res); err != nil {
@@ -134,23 +145,8 @@ func (rp *replayer) step(st compose.WitnessStep, res *ReplayResult) error {
 	switch st.Kind {
 	case compose.StepDelta:
 		for _, p := range rp.places {
-			s := rp.steps[p]
-			n, err := s.reload()
-			if err != nil {
+			if _, err := rp.ents[p].StepExact(-1, fsm.OpDelta); err != nil {
 				return err
-			}
-			found := false
-			for i := 0; i < n; i++ {
-				if s.op(i) == fsm.OpDelta {
-					if err := s.advance(i); err != nil {
-						return err
-					}
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("entity %d cannot terminate", p)
 			}
 		}
 		res.Trace = append(res.Trace, "delta")
@@ -162,8 +158,8 @@ func (rp *replayer) step(st compose.WitnessStep, res *ReplayResult) error {
 		}
 		return nil
 	case compose.StepDuplicate:
-		if len(rp.med.Pending(st.From, st.To)) >= rp.cap {
-			return fmt.Errorf("channel %d->%d is at capacity %d, duplication not enabled", st.From, st.To, rp.cap)
+		if rp.med.queued(st.From, st.To) >= rp.med.cap {
+			return fmt.Errorf("channel %d->%d is at capacity %d, duplication not enabled", st.From, st.To, rp.med.cap)
 		}
 		if !rp.med.DuplicateAt(st.From, st.To, st.Index) {
 			return fmt.Errorf("channel %d->%d has no message at position %d", st.From, st.To, st.Index)
@@ -179,118 +175,62 @@ func (rp *replayer) step(st compose.WitnessStep, res *ReplayResult) error {
 	// Entity step: the TIndex selects the fired transition in derivation
 	// order — the same order compose's exploration caches and the compiled
 	// tables preserve.
-	s, ok := rp.steps[st.Place]
+	op, ok := ExactOp(st.Kind)
+	if !ok {
+		return fmt.Errorf("unknown witness step kind %q", st.Kind)
+	}
+	e, ok := rp.ents[st.Place]
 	if !ok {
 		return fmt.Errorf("witness names unknown entity %d", st.Place)
 	}
-	n, err := s.reload()
-	if err != nil {
-		return err
+	out, err := e.StepExact(st.TIndex, op)
+	if err == nil {
+		err = rp.med.refused
 	}
-	if st.TIndex < 0 || st.TIndex >= n {
-		return fmt.Errorf("entity %d has %d transitions, witness selects #%d", st.Place, n, st.TIndex)
+	if err == nil && out.Event != nil {
+		res.Trace = append(res.Trace, out.Event.String())
 	}
-	op, ev := s.op(st.TIndex), s.ev(st.TIndex)
-	switch st.Kind {
-	case compose.StepInternal:
-		if op != fsm.OpInternal {
-			return fmt.Errorf("entity %d transition #%d is %s, not internal", st.Place, st.TIndex, op)
-		}
-	case compose.StepService:
-		if op != fsm.OpService {
-			return fmt.Errorf("entity %d transition #%d is %s, not a service primitive", st.Place, st.TIndex, op)
-		}
-		res.Trace = append(res.Trace, ev.String())
-	case compose.StepSend:
-		if op != fsm.OpSend {
-			return fmt.Errorf("entity %d transition #%d is %s, not a send", st.Place, st.TIndex, op)
-		}
-		if len(rp.med.Pending(st.Place, ev.Place)) >= rp.cap {
-			return fmt.Errorf("channel %d->%d is at capacity %d, send blocks", st.Place, ev.Place, rp.cap)
-		}
-		rp.med.Send(medium.MessageFor(st.Place, ev))
-	case compose.StepRecv:
-		if op != fsm.OpRecv && op != fsm.OpRecvFlush {
-			return fmt.Errorf("entity %d transition #%d is %s, not a receive", st.Place, st.TIndex, op)
-		}
-		want := medium.WantedBy(st.Place, ev)
-		consumed := false
-		if op == fsm.OpRecvFlush {
-			consumed = rp.med.TryConsumeFlush(want)
-		} else {
-			consumed = rp.med.TryConsume(want)
-		}
-		if !consumed {
-			return fmt.Errorf("entity %d cannot consume %s", st.Place, want)
-		}
-	default:
-		return fmt.Errorf("unknown witness step kind %q", st.Kind)
-	}
-	return s.advance(st.TIndex)
+	return err
 }
 
 // anyEnabled mirrors the composition's global-transition enabledness at the
-// replayer's current state: an entity internal action or service primitive,
-// a send with channel capacity left, a receive whose message is consumable,
-// a global δ (every entity termination-ready), or a fault of the witness's
-// model applicable to some queue.
+// replayer's current state: an entity move (AnyEnabled over the entities'
+// Enabled reports) or a fault of the witness's model applicable to some
+// queue.
 func (rp *replayer) anyEnabled() (bool, error) {
-	deltaReady := 0
+	reports := make(map[int]Enabled, len(rp.places))
 	for _, p := range rp.places {
-		s := rp.steps[p]
-		n, err := s.reload()
+		en, err := rp.ents[p].Enabledness()
 		if err != nil {
 			return false, err
 		}
-		sawDelta := false
-		for i := 0; i < n; i++ {
-			switch s.op(i) {
-			case fsm.OpDelta:
-				sawDelta = true
-			case fsm.OpInternal, fsm.OpService:
-				return true, nil
-			case fsm.OpSend:
-				if len(rp.med.Pending(p, s.ev(i).Place)) < rp.cap {
-					return true, nil
-				}
-			case fsm.OpRecv:
-				if rp.med.TryConsumeCheck(medium.WantedBy(p, s.ev(i))) {
-					return true, nil
-				}
-			case fsm.OpRecvFlush:
-				if rp.med.TryConsumeFlushCheck(medium.WantedBy(p, s.ev(i))) {
-					return true, nil
-				}
-			}
-		}
-		if sawDelta {
-			deltaReady++
-		}
+		reports[p] = en
 	}
-	if deltaReady == len(rp.places) && len(rp.places) > 0 {
+	if AnyEnabled(reports, rp.med.queued, rp.med.cap) {
 		return true, nil
 	}
-	if rp.faults.Any() {
-		for _, from := range rp.places {
-			for _, to := range rp.places {
-				if from == to {
-					continue
-				}
-				q := rp.med.Pending(from, to)
-				if len(q) == 0 {
-					continue
-				}
-				if rp.faults.Loss {
-					return true, nil
-				}
-				if rp.faults.Duplication && len(q) < rp.cap {
-					return true, nil
-				}
-				if rp.faults.Reorder {
-					for i := 0; i+1 < len(q); i++ {
-						if q[i] != q[i+1] {
-							return true, nil
-						}
+	if !rp.faults.Any() {
+		return false, nil
+	}
+	for _, from := range rp.places {
+		for _, to := range rp.places {
+			if from == to {
+				continue
+			}
+			q := rp.med.Pending(from, to)
+			if len(q) == 0 {
+				continue
+			}
+			if rp.faults.Loss {
+				return true, nil
+			}
+			if rp.faults.Duplication && len(q) < rp.med.cap {
+				return true, nil
+			}
+			if rp.faults.Reorder {
+				for i := 0; i+1 < len(q); i++ {
+					if q[i] != q[i+1] {
+						return true, nil
 					}
 				}
 			}

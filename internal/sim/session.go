@@ -2,16 +2,16 @@ package sim
 
 // The Session seam: one protocol execution advanced synchronously, a sweep
 // at a time, on the caller's goroutine — no per-entity goroutines, no
-// timers, no wall clock. It is the lockstep scheduler of Run extracted into
-// a resumable object, so a discrete-event driver (internal/cluster) can
-// interleave thousands to millions of concurrent sessions on one virtual
-// clock: each session is paused between sweeps at zero cost, and advancing
-// it never blocks or sleeps.
+// timers, no wall clock. It is the lockstep core (lockstep.go) over
+// in-process runners, held as a resumable object so a discrete-event driver
+// (internal/cluster) can interleave thousands to millions of concurrent
+// sessions on one virtual clock: each session is paused between sweeps at
+// zero cost, and advancing it never blocks or sleeps.
 //
 // A Session with seed s is the same execution as Run with Config{Lockstep:
-// true, Seed: s, ...}: identical runners, identical seed derivation,
-// identical sweep order and stop conditions. That identity is what makes
-// any single cluster session replayable through the ordinary simulator.
+// true, Seed: s, ...}: a lockstep Run is a Session run to completion. That
+// identity is what makes any single cluster session replayable through the
+// ordinary simulator.
 
 import (
 	"fmt"
@@ -22,69 +22,57 @@ import (
 	"repro/internal/medium"
 )
 
-// entityPlaces returns the sorted places of an entity map. Ascending place
-// order fixes the per-entity scheduling seeds, so a run is identified by
-// cfg.Seed alone (and by engine-independent design, produces the same
-// execution under either engine when stepped in lockstep).
-func entityPlaces(entities map[int]*lotos.Spec) []int {
-	places := make([]int, 0, len(entities))
-	for p := range entities {
+// sortedPlaces returns the places of a place-keyed map in ascending order.
+// Ascending place order fixes the per-entity scheduling seeds, so a run is
+// identified by cfg.Seed alone (and by engine-independent design, produces
+// the same execution under either engine when stepped in lockstep).
+func sortedPlaces[V any](m map[int]V) []int {
+	places := make([]int, 0, len(m))
+	for p := range m {
 		places = append(places, p)
 	}
 	sort.Ints(places)
 	return places
 }
 
-// buildRunners constructs one runner per place, choosing each entity's
-// engine: compiled tables when the configured fleet has a machine for the
-// place, the AST interpreter otherwise. A nil entity spec without a
-// compiled machine is an error (fleet-only callers must have every place
-// compiled).
-func buildRunners(entities map[int]*lotos.Spec, places []int, med medium.Transport, w *world, cfg Config) ([]*runner, map[int]Engine, error) {
-	var fleet *fsm.Fleet
-	if cfg.Engine == EngineFSM {
-		fleet = cfg.Fleet
-		if fleet == nil {
-			fleet = fsm.CompileEntities(entities, cfg.Compile)
-		}
+// engineMachines returns the compiled machines an engine runs, by place:
+// none for EngineAST, the fleet's (compiled on the spot when nil) for
+// EngineFSM. A place without a machine runs interpreted.
+func engineMachines(entities map[int]*lotos.Spec, engine Engine, fleet *fsm.Fleet, cfg fsm.Config) map[int]*fsm.Machine {
+	if engine != EngineFSM {
+		return nil
 	}
-	engines := make(map[int]Engine, len(places))
-	runners := make([]*runner, len(places))
+	if fleet == nil {
+		fleet = fsm.CompileEntities(entities, cfg)
+	}
+	return fleet.Machines
+}
+
+// buildRunners constructs one in-process entity per place over med and w,
+// choosing each entity's engine: compiled tables when the configured fleet
+// has a machine for the place, the AST interpreter otherwise. A nil entity
+// spec without a compiled machine is an error (fleet-only callers must have
+// every place compiled).
+func buildRunners(entities map[int]*lotos.Spec, places []int, med medium.Transport, w *world, cfg Config) ([]*EntityStepper, error) {
+	machines := engineMachines(entities, cfg.Engine, cfg.Fleet, cfg.Compile)
+	runners := make([]*EntityStepper, len(places))
 	for i, p := range places {
-		var st stepper
-		engines[p] = EngineAST
-		if fleet != nil {
-			if m := fleet.Machines[p]; m != nil {
-				st = newFSMStepper(m)
-				engines[p] = EngineFSM
-			}
+		r, err := NewEntityStepper(p, entities[p], machines[p], med, cfg.Harness, RunnerSeed(cfg.Seed, i))
+		if err != nil {
+			return nil, err
 		}
-		if st == nil {
-			sp := entities[p]
-			if sp == nil {
-				return nil, nil, fmt.Errorf("sim: entity %d: no compiled machine and no specification to interpret", p)
-			}
-			ast, err := newASTStepper(p, sp)
-			if err != nil {
-				return nil, nil, err
-			}
-			st = ast
-		}
-		runners[i] = newRunner(p, st, med, w, cfg, SubSeed(cfg.Seed, roleRunner, i))
+		r.world = w
+		runners[i] = r
 	}
-	return runners, engines, nil
+	return runners, nil
 }
 
 // Session is one protocol execution stepped synchronously by its caller.
 // It is single-goroutine state: not safe for concurrent use, but millions
 // of independent Sessions may be advanced by one driver loop.
 type Session struct {
-	runners  []*runner
-	w        *world
-	med      medium.Transport
-	engines  map[int]Engine
-	finished bool
-	sweeps   int
+	core *Lockstep[*EntityStepper]
+	w    *world // the run's record, over the session's medium
 }
 
 // sessionConfig validates and normalizes a Session config: the synchronous
@@ -93,36 +81,44 @@ type Session struct {
 // harness and medium sub-seeds exactly as Run does.
 func sessionConfig(cfg Config) (Config, error) {
 	if cfg.Reliable || cfg.Medium.MaxDelay > 0 {
-		return cfg, fmt.Errorf("sim: session requires the immediate medium (no Reliable, no MaxDelay)")
+		return cfg, fmt.Errorf("sim: lockstep requires the immediate medium (no Reliable, no MaxDelay)")
 	}
 	return resolveSeeds(cfg), nil
 }
 
-// NewSession builds a synchronous session over the entities. Lockstep,
-// Timeout and engine selection behave as in Run; wall-clock options
-// (Reliable, Medium.MaxDelay) are rejected. The caller advances it with
-// StepN and must Close it when done.
+// newSession builds the medium, the runners of the places and the lockstep
+// core that visits them. The world only records: the core counts MaxEvents
+// and decides the outcome.
+func newSession(entities map[int]*lotos.Spec, places []int, cfg Config) (*Session, error) {
+	med := medium.New(cfg.Medium)
+	w := newWorld(len(places), med, 0)
+	runners, err := buildRunners(entities, places, med, w, cfg)
+	if err != nil {
+		med.Close()
+		return nil, err
+	}
+	inFlight := func() (int, error) { return med.InFlight(), nil }
+	return &Session{core: NewLockstep(runners, cfg.MaxEvents, inFlight, nil), w: w}, nil
+}
+
+// NewSession builds a synchronous session over the entities. Engine
+// selection behaves as in Run; wall-clock options (Reliable,
+// Medium.MaxDelay) are rejected and Timeout is ignored. The caller advances
+// it with StepN and must Close it when done.
 func NewSession(entities map[int]*lotos.Spec, cfg Config) (*Session, error) {
 	cfg, err := sessionConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	med := medium.New(cfg.Medium)
-	places := entityPlaces(entities)
-	w := newWorld(len(places), med, cfg.MaxEvents)
-	runners, engines, err := buildRunners(entities, places, med, w, cfg)
-	if err != nil {
-		med.Close()
-		return nil, err
-	}
-	return &Session{runners: runners, w: w, med: med, engines: engines}, nil
+	return newSession(entities, sortedPlaces(entities), cfg)
 }
 
 // NewFleetSession builds a synchronous session over a fully compiled fleet:
 // every place must have a compiled machine (no AST fallback), so sessions
 // share the immutable tables and need no per-session copy of the entity
 // syntax trees — the memory contract that makes million-session fleets
-// affordable. cfg.Engine and cfg.Fleet are overridden by the argument.
+// affordable. cfg.Engine and cfg.Fleet are overridden by the argument. An
+// incompletely compiled fleet is rejected naming its lowest failed place.
 func NewFleetSession(fleet *fsm.Fleet, cfg Config) (*Session, error) {
 	cfg, err := sessionConfig(cfg)
 	if err != nil {
@@ -130,125 +126,42 @@ func NewFleetSession(fleet *fsm.Fleet, cfg Config) (*Session, error) {
 	}
 	cfg.Engine = EngineFSM
 	cfg.Fleet = fleet
-	places := make([]int, 0, len(fleet.Machines))
-	for p := range fleet.Machines {
-		places = append(places, p)
+	if failed := sortedPlaces(fleet.Errors); len(failed) > 0 {
+		return nil, fmt.Errorf("sim: fleet session requires every entity compiled: entity %d: %s", failed[0], fleet.Errors[failed[0]].Reason)
 	}
-	sort.Ints(places)
-	for p, ce := range fleet.Errors {
-		return nil, fmt.Errorf("sim: fleet session requires every entity compiled: entity %d: %s", p, ce.Reason)
-	}
-	if len(places) == 0 {
+	if len(fleet.Machines) == 0 {
 		return nil, fmt.Errorf("sim: fleet session over an empty fleet")
 	}
-	med := medium.New(cfg.Medium)
-	w := newWorld(len(places), med, cfg.MaxEvents)
-	runners, engines, err := buildRunners(nil, places, med, w, cfg)
-	if err != nil {
-		med.Close()
-		return nil, err
-	}
-	return &Session{runners: runners, w: w, med: med, engines: engines}, nil
+	return newSession(nil, sortedPlaces(fleet.Machines), cfg)
 }
 
-// StepN advances the session by up to max full sweeps (max <= 0 means until
-// the run is over): each sweep attempts one step per live entity in
-// ascending place order. It returns the number of sweeps executed and
-// whether the session is over — every entity terminated, MaxEvents hit, a
-// stop, or a sweep without progress (with the immediate medium nothing
-// asynchronous can unblock such a sweep: a genuine deadlock when no message
-// is in flight, a stuck run otherwise). Splitting a run across StepN calls
-// never changes it: quantum boundaries fall exactly between sweeps.
+// StepN advances the session by up to max full sweeps of the lockstep core
+// (max <= 0 means until the run is over). It returns the number of sweeps
+// executed and whether the session is over — every entity terminated,
+// MaxEvents hit, or a sweep without progress (with the immediate medium
+// nothing asynchronous can unblock such a sweep: a genuine deadlock when
+// no message is in flight, a stuck run otherwise).
 func (s *Session) StepN(max int) (sweeps int, done bool, err error) {
-	if s.finished {
-		return 0, true, nil
+	sweeps, done, err = s.core.Run(max)
+	if done {
+		s.w.halt(s.core.Outcome())
 	}
-	for (max <= 0 || sweeps < max) && !s.w.isStopped() {
-		progress := false
-		alive := 0
-		for _, r := range s.runners {
-			if r.done || s.w.isStopped() {
-				continue
-			}
-			alive++
-			progressed, rdone, rerr := r.stepOnce()
-			if rerr != nil {
-				s.w.stop(false)
-				s.finished = true
-				return sweeps, true, fmt.Errorf("entity %d: %w", r.place, rerr)
-			}
-			if rdone {
-				r.done = true
-			}
-			if progressed {
-				progress = true
-			}
-		}
-		if alive == 0 {
-			break
-		}
-		sweeps++
-		if !progress {
-			s.w.stopStuck(s.med.InFlight() == 0)
-		}
-	}
-	s.sweeps += sweeps
-	if s.w.isStopped() || s.allDone() {
-		s.w.stop(false)
-		s.finished = true
-	}
-	return sweeps, s.finished, nil
+	return sweeps, done, err
 }
-
-// allDone reports that every entity terminated.
-func (s *Session) allDone() bool {
-	for _, r := range s.runners {
-		if !r.done {
-			return false
-		}
-	}
-	return true
-}
-
-// Done reports whether the session is over.
-func (s *Session) Done() bool { return s.finished }
 
 // Sweeps returns the total number of sweeps executed so far — the session's
 // work measure (the cluster simulator prices virtual service time by it).
-func (s *Session) Sweeps() int { return s.sweeps }
-
-// Events returns the number of service primitives executed so far.
-func (s *Session) Events() int {
-	s.w.mu.Lock()
-	defer s.w.mu.Unlock()
-	return len(s.w.trace)
-}
-
-// MediumStats snapshots the session medium's counters.
-func (s *Session) MediumStats() medium.Stats { return s.med.Stats() }
-
-// blockedStates describes every entity's pending state.
-func (s *Session) blockedStates() map[int]string {
-	blocked := make(map[int]string, len(s.runners))
-	for _, r := range s.runners {
-		if r.done {
-			blocked[r.place] = "terminated"
-		} else {
-			blocked[r.place] = r.step.describe()
-		}
-	}
-	return blocked
-}
+func (s *Session) Sweeps() int { return s.core.Sweeps() }
 
 // Result freezes the session's outcome. Valid at any point; the
 // classification flags are only meaningful once the session is done.
 func (s *Session) Result() *Result {
-	return s.w.snapshot(s.med.Stats(), s.blockedStates(), s.engines)
+	return s.w.snapshot(s.core.ents)
 }
 
 // Close releases the session's medium. The session must not be stepped
 // afterwards.
 func (s *Session) Close() {
-	s.finished = true
-	s.med.Close()
+	s.core.over = true
+	s.w.med.Close()
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fsm"
@@ -106,5 +108,34 @@ func TestFleetSessionRequiresCompiledFleet(t *testing.T) {
 	// Wall-clock options are incompatible with the synchronous scheduler.
 	if _, err := NewSession(d.Entities, Config{Seed: 1, Reliable: true}); err == nil {
 		t.Error("session accepted the ARQ layer")
+	}
+}
+
+// TestFleetSessionErrorIsDeterministic: with several places uncompiled the
+// rejection names the lowest one, the same message on every call (the
+// fleet's failures are a map, whose iteration order varies call to call).
+func TestFleetSessionErrorIsDeterministic(t *testing.T) {
+	d := deriveFor(t, "SPEC a1; b2; c3; d4; exit ENDSPEC")
+	fleet := fsm.CompileEntities(d.Entities, fsm.Config{MaxStates: 1})
+	if len(fleet.Errors) < 2 {
+		t.Fatalf("want at least two uncompiled places, got %d", len(fleet.Errors))
+	}
+	lowest := -1
+	for p := range fleet.Errors {
+		if lowest < 0 || p < lowest {
+			lowest = p
+		}
+	}
+	_, err := NewFleetSession(fleet, Config{Seed: 1})
+	if err == nil {
+		t.Fatal("fleet session accepted a fleet with compile fallbacks")
+	}
+	if want := fmt.Sprintf("entity %d:", lowest); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the lowest failed place %d", err, lowest)
+	}
+	for i := 0; i < 20; i++ {
+		if _, again := NewFleetSession(fleet, Config{Seed: 1}); again == nil || again.Error() != err.Error() {
+			t.Fatalf("call %d: error %v, want %v", i, again, err)
+		}
 	}
 }

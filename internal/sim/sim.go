@@ -161,6 +161,35 @@ type Config struct {
 	Lockstep bool
 }
 
+// Outcome classifies how a run ended.
+type Outcome string
+
+// The run outcomes, in precedence order (see Classify).
+const (
+	OutcomeCompleted  Outcome = "completed"  // every entity terminated
+	OutcomeDeadlocked Outcome = "deadlocked" // standstill, nothing in flight
+	OutcomeTimedOut   Outcome = "timed-out"  // timeout, or a stuck lockstep run
+	OutcomeStopped    Outcome = "stopped"    // MaxEvents budget spent
+	OutcomeNone       Outcome = "none"       // not over, or halted without a cause
+)
+
+// Classify decides a run's outcome from its classification flags: the one
+// precedence every scheduler and report renders — successful termination,
+// then deadlock, then timeout, then a MaxEvents stop.
+func Classify(completed, deadlocked, timedOut, stopped bool) Outcome {
+	switch {
+	case completed:
+		return OutcomeCompleted
+	case deadlocked:
+		return OutcomeDeadlocked
+	case timedOut:
+		return OutcomeTimedOut
+	case stopped:
+		return OutcomeStopped
+	}
+	return OutcomeNone
+}
+
 // Result reports one simulation run.
 type Result struct {
 	// Trace is the global service-primitive trace, in execution order.
@@ -186,6 +215,11 @@ type Result struct {
 	Engines map[int]Engine
 }
 
+// Outcome classifies the run (see Classify).
+func (r *Result) Outcome() Outcome {
+	return Classify(r.Completed, r.Deadlocked, r.TimedOut, r.Stopped)
+}
+
 // CompiledPlaces counts how many entities ran compiled.
 func (r *Result) CompiledPlaces() int {
 	n := 0
@@ -206,19 +240,20 @@ func (r *Result) TraceStrings() []string {
 	return out
 }
 
-// world coordinates the entity goroutines.
+// world coordinates the entity goroutines of a concurrent run and holds
+// the trace and classification of every run. Under the lockstep core it
+// never stops by itself: the core counts MaxEvents and decides the outcome,
+// which halt records.
 type world struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	gen      uint64
-	waiting  int
-	done     int
-	total    int
-	stopped  bool
-	deadlock bool
-	timedOut bool
-	maxhit   bool
-	med      medium.Transport
+	mu      sync.Mutex
+	cond    *sync.Cond
+	gen     uint64
+	waiting int
+	done    int
+	total   int
+	stopped bool
+	end     Outcome // the stop cause, if any
+	med     medium.Transport
 
 	trace     []TraceEvent
 	maxEvents int
@@ -237,11 +272,13 @@ func (w *world) bump() {
 	w.mu.Unlock()
 }
 
-func (w *world) stop(timeout bool) {
+// halt stops the world with cause end (a timeout, the lockstep core's
+// verdict, or none). A world already stopped keeps its first cause.
+func (w *world) halt(end Outcome) {
 	w.mu.Lock()
 	if !w.stopped {
 		w.stopped = true
-		w.timedOut = timeout
+		w.end = end
 	}
 	w.gen++
 	w.cond.Broadcast()
@@ -255,13 +292,15 @@ func (w *world) isStopped() bool {
 }
 
 // record appends an executed service primitive; it may trigger a MaxEvents
-// stop.
+// stop. A primitive recorded after the world stopped (a runner that passed
+// its stop check just before a timeout) is kept in the trace but is not the
+// cause of the stop, so it never marks the run as MaxEvents-stopped.
 func (w *world) record(place int, ev lotos.Event) {
 	w.mu.Lock()
 	w.trace = append(w.trace, TraceEvent{Seq: len(w.trace), Place: place, Ev: ev})
-	if w.maxEvents > 0 && len(w.trace) >= w.maxEvents {
+	if !w.stopped && w.maxEvents > 0 && len(w.trace) >= w.maxEvents {
 		w.stopped = true
-		w.maxhit = true
+		w.end = OutcomeStopped
 	}
 	w.gen++
 	w.cond.Broadcast()
@@ -284,8 +323,8 @@ func (w *world) await(gen uint64) uint64 {
 	defer w.mu.Unlock()
 	w.waiting++
 	if w.waiting+w.done == w.total && w.med.InFlight() == 0 && !w.stopped {
-		w.deadlock = true
 		w.stopped = true
+		w.end = OutcomeDeadlocked
 		w.gen++
 		w.cond.Broadcast()
 	}
@@ -300,22 +339,6 @@ func (w *world) generation() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.gen
-}
-
-// stopStuck ends a lockstep run that made a full sweep without progress:
-// a genuine deadlock when nothing is in flight, a stuck run (reported as a
-// timeout, matching what the concurrent scheduler would eventually decide)
-// otherwise.
-func (w *world) stopStuck(deadlock bool) {
-	w.mu.Lock()
-	if !w.stopped {
-		w.stopped = true
-		w.deadlock = deadlock
-		w.timedOut = !deadlock
-	}
-	w.gen++
-	w.cond.Broadcast()
-	w.mu.Unlock()
 }
 
 // resolveSeeds fills the config's derived random streams: the default
@@ -339,6 +362,26 @@ func Run(entities map[int]*lotos.Spec, cfg Config) (*Result, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 5 * time.Second
 	}
+	if cfg.Lockstep {
+		// The lockstep scheduler is the Session run to completion on the
+		// calling goroutine (the cluster simulator advances the same core
+		// quantum by quantum, so a cluster session and a lockstep Run with
+		// the same seed are the same execution); the timeout is the core's
+		// external stop.
+		s, err := NewSession(entities, cfg)
+		if err != nil {
+			return nil, err
+		}
+		defer s.Close()
+		s.core.stop = s.w.isStopped
+		timer := time.AfterFunc(cfg.Timeout, func() { s.w.halt(OutcomeTimedOut) })
+		defer timer.Stop()
+		if _, _, err := s.StepN(0); err != nil {
+			return nil, err
+		}
+		return s.Result(), nil
+	}
+
 	cfg = resolveSeeds(cfg)
 	var med medium.Transport
 	if cfg.Reliable {
@@ -352,13 +395,9 @@ func Run(entities map[int]*lotos.Spec, cfg Config) (*Result, error) {
 	}
 	defer med.Close()
 
-	if cfg.Lockstep && (cfg.Reliable || cfg.Medium.MaxDelay > 0) {
-		return nil, fmt.Errorf("sim: lockstep requires the immediate medium (no Reliable, no MaxDelay)")
-	}
-
-	places := entityPlaces(entities)
+	places := sortedPlaces(entities)
 	w := newWorld(len(places), med, cfg.MaxEvents)
-	runners, engines, err := buildRunners(entities, places, med, w, cfg)
+	runners, err := buildRunners(entities, places, med, w, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -389,70 +428,54 @@ func Run(entities map[int]*lotos.Spec, cfg Config) (*Result, error) {
 		}()
 	}
 
-	timer := time.AfterFunc(cfg.Timeout, func() { w.stop(true) })
+	timer := time.AfterFunc(cfg.Timeout, func() { w.halt(OutcomeTimedOut) })
 	defer timer.Stop()
 
-	var blocked map[int]string
-	if cfg.Lockstep {
-		// The lockstep scheduler is the Session seam run to completion on
-		// the calling goroutine (the cluster simulator advances the same
-		// loop quantum by quantum, so a cluster session and a lockstep Run
-		// with the same seed are the same execution).
-		s := &Session{runners: runners, w: w, med: med, engines: engines}
-		if _, _, err := s.StepN(0); err != nil {
-			return nil, err
-		}
-		blocked = s.blockedStates()
-	} else {
-		blocked = make(map[int]string, len(places))
-		var blockedMu sync.Mutex
-		var wg sync.WaitGroup
-		errs := make(chan error, len(places))
-		for _, r := range runners {
-			wg.Add(1)
-			go func(r *runner) {
-				defer wg.Done()
-				desc, err := r.run()
-				if err != nil {
-					errs <- fmt.Errorf("entity %d: %w", r.place, err)
-					w.stop(false)
-					return
-				}
-				blockedMu.Lock()
-				blocked[r.place] = desc
-				blockedMu.Unlock()
-			}(r)
-		}
-		// No separate completion watcher is needed: runners return when they
-		// terminate, and a global deadlock is detected by the last runner to
-		// block (await), which stops the world and wakes everyone.
-		wg.Wait()
-		w.stop(false)
-
-		select {
-		case err := <-errs:
-			return nil, err
-		default:
-		}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(places))
+	for _, r := range runners {
+		wg.Add(1)
+		go func(r *EntityStepper) {
+			defer wg.Done()
+			if err := r.run(); err != nil {
+				errs <- fmt.Errorf("entity %d: %w", r.place, err)
+				w.halt(OutcomeNone)
+			}
+		}(r)
 	}
+	// No separate completion watcher is needed: runners return when they
+	// terminate, and a global deadlock is detected by the last runner to
+	// block (await), which stops the world and wakes everyone.
+	wg.Wait()
+	w.halt(OutcomeNone)
 
-	return w.snapshot(med.Stats(), blocked, engines), nil
+	select {
+	case err := <-errs:
+		return nil, err
+	default:
+	}
+	return w.snapshot(runners), nil
 }
 
-// snapshot freezes the world into a Result.
-func (w *world) snapshot(ms medium.Stats, blocked map[int]string, engines map[int]Engine) *Result {
+// snapshot freezes the world and its medium into a Result, describing every
+// entity's pending state and engine.
+func (w *world) snapshot(ents []*EntityStepper) *Result {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	res := &Result{
 		Trace:         append([]TraceEvent(nil), w.trace...),
 		Completed:     w.done == w.total,
-		Deadlocked:    w.deadlock,
-		TimedOut:      w.timedOut,
-		Stopped:       w.maxhit,
-		Medium:        ms,
-		Blocked:       blocked,
+		Deadlocked:    w.end == OutcomeDeadlocked,
+		TimedOut:      w.end == OutcomeTimedOut,
+		Stopped:       w.end == OutcomeStopped,
+		Medium:        w.med.Stats(),
+		Blocked:       make(map[int]string, len(ents)),
 		EventsByPlace: map[int]int{},
-		Engines:       engines,
+		Engines:       make(map[int]Engine, len(ents)),
+	}
+	for _, e := range ents {
+		res.Blocked[e.place] = e.Describe()
+		res.Engines[e.place] = e.engine
 	}
 	for _, te := range res.Trace {
 		res.EventsByPlace[te.Place]++

@@ -14,15 +14,18 @@ import (
 )
 
 // The coordinator: the deployment's scheduler and service-user harness. It
-// drives a distributed session in lockstep — sweeps over the entities in
-// ascending place order, one granted step each — with a delivery barrier
-// after every step (the entity flushes its sends before reporting), so the
-// queue states any entity observes are exactly those of the in-process
-// shared medium under sim's lockstep scheduler. With the harness hosted
-// here and seeded sim.HarnessSeed(seed), and each entity's scheduling RNG
-// seeded sim.RunnerSeed(seed, placeIndex), a seeded distributed session is
-// execution-identical to sim.Run with Config{Lockstep: true, Seed: seed}:
-// same candidate rows, same random draws, same trace, same outcome.
+// runs sim's lockstep core — the same sweep loop as an in-process Session —
+// over the entity processes: a visit is one step granted over the entity's
+// control connection, with a delivery barrier after every step (the entity
+// flushes its sends before reporting), so the queue states any entity
+// observes are exactly those of the in-process shared medium. With the
+// harness hosted here and seeded sim.HarnessSeed(seed), and each entity's
+// scheduling RNG seeded sim.RunnerSeed(seed, placeIndex), a seeded
+// distributed session is execution-identical to sim.Run with
+// Config{Lockstep: true, Seed: seed}: same candidate rows, same random
+// draws, same trace, same outcome. Witness replay grants exact steps and
+// folds the entities' enabledness reports through sim.AnyEnabled, as the
+// in-process replayer does.
 
 // CoordinatorConfig configures a deployment coordinator.
 type CoordinatorConfig struct {
@@ -47,12 +50,11 @@ type CoordinatorConfig struct {
 
 // ctrl is one entity's control connection.
 type ctrl struct {
+	c      *Coordinator
 	place  int
 	conn   net.Conn
 	engine string
 	addr   string
-	done   bool
-	queued int
 }
 
 // Coordinator accepts entity control connections and drives sessions.
@@ -61,20 +63,19 @@ type Coordinator struct {
 	ln    net.Listener
 	ents  []*ctrl // ascending place order
 	table *MsgTable
+	// The session in progress: its service-user harness and the global
+	// trace its steps have sequenced.
+	harness sim.Harness
+	trace   []string
 }
 
-// SessionReport is the outcome of one coordinated session, mirroring
-// sim.Result's classification so live and in-process runs compare directly.
+// SessionReport is the outcome of one coordinated session, classified as
+// sim classifies a Result so live and in-process runs compare directly.
 type SessionReport struct {
 	// Trace is the global observable trace (event strings, in global
 	// sequence order).
-	Trace []string
-	// TracePlaces gives the executing place of each trace entry.
-	TracePlaces []int
-	Completed   bool
-	Deadlocked  bool
-	TimedOut    bool
-	Stopped     bool
+	Trace   []string
+	Outcome sim.Outcome
 	// Aborted marks an infrastructure failure (lost entity, wall-clock
 	// budget) — not a protocol outcome; Reason says what happened.
 	Aborted bool
@@ -87,27 +88,12 @@ type SessionReport struct {
 // Canonical renders the protocol outcome as one comparable string — the
 // byte-identity format of the live-vs-lockstep differential gate.
 func (r *SessionReport) Canonical() string {
-	return canonicalOutcome(r.Trace, r.Completed, r.Deadlocked, r.TimedOut, r.Stopped)
+	return string(r.Outcome) + "|" + strings.Join(r.Trace, " ")
 }
 
 // CanonicalResult renders a sim.Result in SessionReport.Canonical's format.
 func CanonicalResult(res *sim.Result) string {
-	return canonicalOutcome(res.TraceStrings(), res.Completed, res.Deadlocked, res.TimedOut, res.Stopped)
-}
-
-func canonicalOutcome(trace []string, completed, deadlocked, timedOut, stopped bool) string {
-	outcome := "none"
-	switch {
-	case completed:
-		outcome = OutcomeCompleted
-	case deadlocked:
-		outcome = OutcomeDeadlocked
-	case timedOut:
-		outcome = OutcomeTimedOut
-	case stopped:
-		outcome = OutcomeStopped
-	}
-	return outcome + "|" + strings.Join(trace, " ")
+	return string(res.Outcome()) + "|" + strings.Join(res.TraceStrings(), " ")
 }
 
 // NewCoordinator opens the control listener.
@@ -163,7 +149,7 @@ func (c *Coordinator) WaitEntities() error {
 				return fmt.Errorf("wire: duplicate entity place %d", hello.Place)
 			}
 		}
-		c.ents = append(c.ents, &ctrl{place: hello.Place, conn: conn, engine: hello.Engine, addr: hello.Addr})
+		c.ents = append(c.ents, &ctrl{c: c, place: hello.Place, conn: conn, engine: hello.Engine, addr: hello.Addr})
 	}
 	sort.Slice(c.ents, func(i, j int) bool { return c.ents[i].place < c.ents[j].place })
 
@@ -212,25 +198,12 @@ func (c *Coordinator) halt(outcome OutcomeFlags, reason string) {
 	}
 }
 
-// outcomeFlags folds a report's classification into Halt flags.
-func (r *SessionReport) outcomeFlags() OutcomeFlags {
-	var o OutcomeFlags
-	if r.Completed {
-		o |= OutCompleted
-	}
-	if r.Deadlocked {
-		o |= OutDeadlocked
-	}
-	if r.TimedOut {
-		o |= OutTimedOut
-	}
-	if r.Stopped {
-		o |= OutStopped
-	}
-	if r.Aborted {
-		o |= OutAborted
-	}
-	return o
+// outcomeFlags maps a protocol outcome to its Halt flag.
+var outcomeFlags = map[sim.Outcome]OutcomeFlags{
+	sim.OutcomeCompleted:  OutCompleted,
+	sim.OutcomeDeadlocked: OutDeadlocked,
+	sim.OutcomeTimedOut:   OutTimedOut,
+	sim.OutcomeStopped:    OutStopped,
 }
 
 // abort closes a failed session: Halt(aborted) to everyone, report flagged.
@@ -243,9 +216,9 @@ func (c *Coordinator) abort(rep *SessionReport, err error) (*SessionReport, erro
 
 // stepEntity grants one step (FrameStep, or the given exact grant) to one
 // entity and serves harness requests until its StepResult arrives. Service
-// events are sequenced into the report's global trace immediately — the
-// FrameSeq answer is what lets the entity stamp its log record.
-func (c *Coordinator) stepEntity(e *ctrl, grant *Frame, harness sim.Harness, rep *SessionReport) (*Frame, error) {
+// events are sequenced into the session trace immediately — the FrameSeq
+// answer is what lets the entity stamp its log record.
+func (c *Coordinator) stepEntity(e *ctrl, grant *Frame) (*Frame, error) {
 	if err := WriteFrame(e.conn, grant, c.table); err != nil {
 		return nil, fmt.Errorf("wire: step grant to entity %d: %w", e.place, err)
 	}
@@ -263,16 +236,15 @@ func (c *Coordinator) stepEntity(e *ctrl, grant *Frame, harness sim.Harness, rep
 			for i, o := range f.Offered {
 				evs[i] = o.Event()
 			}
-			pick := harness.Choose(e.place, evs)
+			pick := c.harness.Choose(e.place, evs)
 			reply := &Frame{Type: FrameChooseReply, Choice: pick}
 			if err := WriteFrame(e.conn, reply, c.table); err != nil {
 				return nil, fmt.Errorf("wire: harness reply to entity %d: %w", e.place, err)
 			}
 		case FrameStepResult:
 			if f.HasEvent {
-				rep.Trace = append(rep.Trace, f.EventName)
-				rep.TracePlaces = append(rep.TracePlaces, e.place)
-				seq := &Frame{Type: FrameSeq, GlobalSeq: len(rep.Trace) - 1}
+				c.trace = append(c.trace, f.EventName)
+				seq := &Frame{Type: FrameSeq, GlobalSeq: len(c.trace) - 1}
 				if err := WriteFrame(e.conn, seq, c.table); err != nil {
 					return nil, fmt.Errorf("wire: sequencing event for entity %d: %w", e.place, err)
 				}
@@ -286,13 +258,13 @@ func (c *Coordinator) stepEntity(e *ctrl, grant *Frame, harness sim.Harness, rep
 	}
 }
 
-// start broadcasts the session start and arms the wall-clock budget.
-func (c *Coordinator) start(seed int64, mode SessionMode) error {
+// start broadcasts the session start, arms the wall-clock budget and
+// installs the session's harness.
+func (c *Coordinator) start(seed int64, mode SessionMode, harness sim.Harness) error {
+	c.harness, c.trace = harness, nil
 	deadline := time.Now().Add(c.cfg.Timeout)
 	for _, e := range c.ents {
 		e.conn.SetDeadline(deadline)
-		e.done = false
-		e.queued = 0
 	}
 	for _, e := range c.ents {
 		f := &Frame{Type: FrameStart, Seed: seed, Mode: mode}
@@ -303,81 +275,41 @@ func (c *Coordinator) start(seed int64, mode SessionMode) error {
 	return nil
 }
 
-// RunSeeded drives one seeded session to its end, mirroring Session.StepN
-// run to completion: sweeps in ascending place order, each live entity
-// granted one step, MaxEvents stops taking effect mid-sweep, and a sweep
-// without progress classified as deadlock (nothing queued anywhere) or a
-// stuck run. The report's protocol outcome is byte-identical (Canonical)
-// to sim.Run with Config{Lockstep: true, Seed: seed} over the same
-// entities.
-func (c *Coordinator) RunSeeded(seed int64) (*SessionReport, error) {
-	rep := &SessionReport{Engines: c.Engines()}
-	if err := c.start(seed, ModeSeeded); err != nil {
-		return c.abort(rep, err)
+// Place implements sim.LockstepEntity.
+func (e *ctrl) Place() int { return e.place }
+
+// Visit implements sim.LockstepEntity: one step granted over the control
+// connection, a service primitive sequenced into the session trace.
+func (e *ctrl) Visit() (progressed, done, event bool, err error) {
+	f, err := e.c.stepEntity(e, &Frame{Type: FrameStep})
+	if err != nil {
+		return false, false, false, err
 	}
-	harness := sim.NewAcceptAll(sim.HarnessSeed(seed))
-	stopped, maxhit := false, false
-	for !stopped {
-		progress := false
-		alive := 0
-		for _, e := range c.ents {
-			if e.done || stopped {
-				continue
-			}
-			alive++
-			res, err := c.stepEntity(e, &Frame{Type: FrameStep}, harness, rep)
-			if err != nil {
-				return c.abort(rep, err)
-			}
-			if res.Done {
-				e.done = true
-			}
-			if res.Progressed {
-				progress = true
-			}
-			e.queued = res.Queued
-			if res.HasEvent && c.cfg.MaxEvents > 0 && len(rep.Trace) >= c.cfg.MaxEvents {
-				// The event that hit the budget stops the run mid-sweep,
-				// exactly as world.record does under the lockstep scheduler.
-				stopped, maxhit = true, true
-			}
-		}
-		if alive == 0 {
-			break
-		}
-		rep.Sweeps++
-		if !progress {
-			// A full sweep without progress: with the delivery barrier,
-			// nothing is on the wire, so the global in-flight count is the
-			// sum of the entities' queued messages — and during a
-			// no-progress sweep the queues are static, so the per-entity
-			// reports form a consistent snapshot.
-			total, err := c.totalQueued()
-			if err != nil {
-				return c.abort(rep, err)
-			}
-			stopped = true
-			if total == 0 {
-				rep.Deadlocked = true
-			} else {
-				rep.TimedOut = true
-			}
-		}
-	}
-	rep.Stopped = maxhit
-	rep.Completed = c.allDone()
-	c.halt(rep.outcomeFlags(), "")
-	return rep, nil
+	return f.Progressed, f.Done, f.HasEvent, nil
 }
 
-// allDone reports that every entity terminated.
-func (c *Coordinator) allDone() bool {
-	for _, e := range c.ents {
-		if !e.done {
-			return false
-		}
+// RunSeeded drives one seeded session to its end: sim's lockstep core over
+// the entity processes, exactly as Session.StepN runs it to completion. A
+// sweep without progress is classified by the global in-flight count —
+// with the delivery barrier nothing is on the wire, so it is the sum of the
+// entities' queued messages, and during a no-progress sweep the queues are
+// static, so the per-entity reports form a consistent snapshot. The
+// report's protocol outcome is byte-identical (Canonical) to sim.Run with
+// Config{Lockstep: true, Seed: seed} over the same entities.
+func (c *Coordinator) RunSeeded(seed int64) (*SessionReport, error) {
+	rep := &SessionReport{Outcome: sim.OutcomeNone, Engines: c.Engines()}
+	if err := c.start(seed, ModeSeeded, sim.NewAcceptAll(sim.HarnessSeed(seed))); err != nil {
+		return c.abort(rep, err)
 	}
-	return true
+	core := sim.NewLockstep(c.ents, c.cfg.MaxEvents, c.totalQueued, nil)
+	_, _, err := core.Run(0)
+	rep.Trace, rep.Sweeps = c.trace, core.Sweeps()
+	if err != nil {
+		return c.abort(rep, err)
+	}
+	rep.Outcome = core.Outcome()
+	c.halt(outcomeFlags[rep.Outcome], "")
+	return rep, nil
 }
 
 // enabledReports polls every entity's enabledness and queue occupancy.
@@ -435,21 +367,6 @@ type ReplayReport struct {
 	Reason  string
 }
 
-// exactOp maps a witness step kind to the granted transition op.
-func exactOp(kind string) (fsm.Op, bool) {
-	switch kind {
-	case compose.StepInternal:
-		return fsm.OpInternal, true
-	case compose.StepService:
-		return fsm.OpService, true
-	case compose.StepSend:
-		return fsm.OpSend, true
-	case compose.StepRecv:
-		return fsm.OpRecv, true
-	}
-	return 0, false
-}
-
 // RunReplay drives a verification counterexample step-for-step through the
 // live deployment — the distributed face of sim.ReplayWitness. Entity steps
 // become exact grants; loss steps are realized by the fault-injection
@@ -469,28 +386,23 @@ func (c *Coordinator) RunReplay(w *compose.Witness) (*ReplayReport, error) {
 	if cap <= 0 {
 		cap = compose.DefaultChannelCap
 	}
-	if err := c.start(0, ModeReplay); err != nil {
+	fail := func(err error) (*ReplayReport, error) {
 		rep.Aborted, rep.Reason = true, err.Error()
 		c.halt(OutAborted, rep.Reason)
 		return rep, err
 	}
 	// The replay harness should never be consulted: every grant is exact.
-	harness := sim.NewScripted(nil)
-	collector := &SessionReport{}
-	fail := func(err error) (*ReplayReport, error) {
-		rep.Aborted, rep.Reason = true, err.Error()
-		c.halt(OutAborted, rep.Reason)
-		return rep, err
+	if err := c.start(0, ModeReplay, sim.NewScripted(nil)); err != nil {
+		return fail(err)
 	}
 	for i, st := range w.Steps {
 		switch st.Kind {
 		case compose.StepDelta:
 			for _, e := range c.ents {
 				grant := &Frame{Type: FrameStepExact, Op: uint8(fsm.OpDelta)}
-				if _, err := c.stepEntity(e, grant, harness, collector); err != nil {
+				if _, err := c.stepEntity(e, grant); err != nil {
 					return fail(fmt.Errorf("witness step %d [%s]: %w", i+1, st.Kind, err))
 				}
-				e.done = true
 			}
 			rep.Trace = append(rep.Trace, "delta")
 			rep.Terminated = true
@@ -499,7 +411,7 @@ func (c *Coordinator) RunReplay(w *compose.Witness) (*ReplayReport, error) {
 			// abstract queue position is accounted for by the plan that
 			// configured the proxy (wiretest.LossPlan).
 		default:
-			op, ok := exactOp(st.Kind)
+			op, ok := sim.ExactOp(st.Kind)
 			if !ok {
 				return fail(fmt.Errorf("witness step %d: unsupported kind %q for live replay", i+1, st.Kind))
 			}
@@ -508,7 +420,7 @@ func (c *Coordinator) RunReplay(w *compose.Witness) (*ReplayReport, error) {
 				return fail(fmt.Errorf("witness step %d names unknown entity %d", i+1, st.Place))
 			}
 			grant := &Frame{Type: FrameStepExact, Op: uint8(op), TIndex: st.TIndex}
-			res, err := c.stepEntity(e, grant, harness, collector)
+			res, err := c.stepEntity(e, grant)
 			if err != nil {
 				return fail(fmt.Errorf("witness step %d [%s] %s: %w", i+1, st.Kind, st.Label, err))
 			}
@@ -528,15 +440,10 @@ func (c *Coordinator) RunReplay(w *compose.Witness) (*ReplayReport, error) {
 	// The halt outcome is what the entities close their trace logs with, so
 	// it must be the replay's faithful classification: a deadlocked replay
 	// logged as completed would read, to the conformance checker, as a
-	// termination the service never allowed.
-	switch {
-	case rep.Deadlocked:
-		c.halt(OutDeadlocked, "replay done")
-	case rep.Terminated:
-		c.halt(OutCompleted, "replay done")
-	default:
-		c.halt(OutStopped, "replay done")
-	}
+	// termination the service never allowed. A replay that neither
+	// terminated nor deadlocked stopped where its witness ends.
+	stopped := !rep.Terminated && !rep.Deadlocked
+	c.halt(outcomeFlags[sim.Classify(rep.Terminated, rep.Deadlocked, false, stopped)], "replay done")
 	return rep, nil
 }
 
@@ -551,38 +458,24 @@ func (c *Coordinator) entity(place int) *ctrl {
 }
 
 // anyEnabled combines the entities' enabledness reports into the global
-// verdict, mirroring the in-process replayer: a local move anywhere, a
-// receive with its message consumable, a send with channel capacity left,
-// a global δ (every entity termination-ready), or a loss fault applicable
-// to some occupied queue.
+// verdict, as the in-process replayer does: an entity move (sim.AnyEnabled
+// over the reports and the reported queue occupancy) or a loss fault
+// applicable to some occupied queue.
 func (c *Coordinator) anyEnabled(channelCap int, faults compose.FaultModel) (bool, error) {
-	reports, err := c.enabledReports()
+	frames, err := c.enabledReports()
 	if err != nil {
 		return false, err
 	}
 	queue := map[[2]int]int{}
-	for to, f := range reports {
+	reports := make(map[int]sim.Enabled, len(frames))
+	for to, f := range frames {
 		for _, q := range f.QueueLens {
 			queue[[2]int{q.From, to}] = q.Len
 		}
+		reports[to] = sim.Enabled{Delta: f.Delta, Local: f.Local, RecvReady: f.RecvReady, SendTargets: f.SendTargets}
 	}
-	deltaReady := 0
-	for _, f := range reports {
-		if f.Local || f.RecvReady {
-			return true, nil
-		}
-		if f.Delta {
-			deltaReady++
-		}
-	}
-	for from, f := range reports {
-		for _, target := range f.SendTargets {
-			if queue[[2]int{from, target}] < channelCap {
-				return true, nil
-			}
-		}
-	}
-	if deltaReady == len(reports) && len(reports) > 0 {
+	queued := func(from, to int) int { return queue[[2]int{from, to}] }
+	if sim.AnyEnabled(reports, queued, channelCap) {
 		return true, nil
 	}
 	if faults.Loss {

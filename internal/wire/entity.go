@@ -17,8 +17,9 @@ import (
 // its execution engine (compiled FSM tables or the AST interpreter — the
 // same per-entity fallback as in-process runs) and its network endpoint;
 // every scheduling decision comes from the coordinator over the control
-// connection, so a seeded distributed session is the in-process lockstep
-// execution with the sweeps stretched over TCP.
+// connection, where the lockstep core visits the entity once per sweep, so
+// a seeded distributed session is the in-process lockstep execution with
+// the sweeps stretched over TCP.
 
 // DefaultSessionTimeout bounds how long an entity waits on its control
 // connection before declaring the session lost.
@@ -87,21 +88,17 @@ func (h *remoteHarness) Choose(place int, offered []lotos.Event) int {
 	return reply.Choice
 }
 
-// outcomeString renders Halt outcome flags as the trace-log outcome.
+// outcomeString renders Halt outcome flags as the trace-log outcome: an
+// abort, else the flags' sim classification.
 func outcomeString(o OutcomeFlags) string {
-	switch {
-	case o&OutAborted != 0:
+	if o&OutAborted != 0 {
 		return OutcomeAborted
-	case o&OutCompleted != 0:
-		return OutcomeCompleted
-	case o&OutDeadlocked != 0:
-		return OutcomeDeadlocked
-	case o&OutTimedOut != 0:
-		return OutcomeTimedOut
-	case o&OutStopped != 0:
-		return OutcomeStopped
 	}
-	return "unknown"
+	out := sim.Classify(o&OutCompleted != 0, o&OutDeadlocked != 0, o&OutTimedOut != 0, o&OutStopped != 0)
+	if out == sim.OutcomeNone {
+		return "unknown"
+	}
+	return string(out)
 }
 
 // RunEntity runs one deployed entity to session end: handshake with the

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/sim"
 )
 
 // The observable-trace log: each deployed entity appends one NDJSON record
@@ -29,12 +31,13 @@ const (
 	RecEnd = "end"
 )
 
-// Outcome strings recorded by RecEnd (and reported by conformance).
+// Outcome strings recorded by RecEnd (and reported by conformance): the
+// sim outcomes, plus an infrastructure abort.
 const (
-	OutcomeCompleted  = "completed"
-	OutcomeDeadlocked = "deadlocked"
-	OutcomeTimedOut   = "timed-out"
-	OutcomeStopped    = "stopped"
+	OutcomeCompleted  = string(sim.OutcomeCompleted)
+	OutcomeDeadlocked = string(sim.OutcomeDeadlocked)
+	OutcomeTimedOut   = string(sim.OutcomeTimedOut)
+	OutcomeStopped    = string(sim.OutcomeStopped)
 	OutcomeAborted    = "aborted"
 )
 
