@@ -22,14 +22,14 @@ test:
 
 # check is the concurrency tier: vet plus the race detector over the
 # packages that exercise goroutines (the runtime, the medium, the explorer's
-# worker pool and the daemon), plus a short fuzz smoke of the two native
-# fuzz targets. It also vets and tests the benchmark module, a module of
-# its own that `./...` does not reach but that imports the compose, lts and
-# equiv APIs.
+# worker pool, the shared service monitors and their trace-log checker, and
+# the daemon), plus a short fuzz smoke of the native fuzz targets. It also
+# vets and tests the benchmark module, a module of its own that `./...` does
+# not reach but that imports the compose, lts and equiv APIs.
 check:
 	$(GO) vet ./...
 	$(GO) -C benchmark vet . && $(GO) -C benchmark test .
-	$(GO) test -race ./internal/sim/ ./internal/medium/ ./internal/compose/ ./internal/lts/ ./internal/service/ ./cmd/pgd/
+	$(GO) test -race ./internal/sim/ ./internal/medium/ ./internal/compose/ ./internal/lts/ ./internal/service/ ./internal/wire/conformance/ ./cmd/pgd/
 	$(MAKE) fault-matrix-smoke
 	$(MAKE) compositional-smoke
 	$(MAKE) reduction-smoke
@@ -116,6 +116,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 5s ./internal/fsm
 	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceLog$$' -fuzztime 5s ./internal/wire/conformance
+	$(GO) test -run '^$$' -fuzz '^FuzzMonitorAccepts$$' -fuzztime 5s ./internal/lts
 
 # run-pgd starts the derivation daemon on :8080 (override with ARGS).
 run-pgd:

@@ -23,6 +23,7 @@ import (
 	"repro/internal/compose"
 	"repro/internal/core"
 	"repro/internal/equiv"
+	"repro/internal/equiv/equivref"
 	"repro/internal/fsm"
 	"repro/internal/lotos"
 	"repro/internal/lts"
@@ -304,7 +305,7 @@ func equivBenchCases(b *testing.B) []equivBenchCase {
 // verdict; the interesting numbers are time/op and allocs/op.
 func BenchmarkWeakBisim(b *testing.B) {
 	for _, c := range equivBenchCases(b) {
-		want := equiv.RefWeakBisimilar(c.sg, c.cg)
+		want := equivref.WeakBisimilar(c.sg, c.cg)
 		b.Run(c.name+"/engine", func(b *testing.B) {
 			b.ReportAllocs()
 			b.ReportMetric(float64(c.sg.NumStates()+c.cg.NumStates()), "states")
@@ -317,7 +318,7 @@ func BenchmarkWeakBisim(b *testing.B) {
 		b.Run(c.name+"/reference", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if equiv.RefWeakBisimilar(c.sg, c.cg) != want {
+				if equivref.WeakBisimilar(c.sg, c.cg) != want {
 					b.Fatal("reference verdict unstable")
 				}
 			}
@@ -341,7 +342,7 @@ func BenchmarkQuotient(b *testing.B) {
 			b.ReportAllocs()
 			var states int
 			for i := 0; i < b.N; i++ {
-				states = equiv.RefQuotientWeak(c.cg).NumStates()
+				states = equivref.QuotientWeak(c.cg).NumStates()
 			}
 			b.ReportMetric(float64(states), "classes")
 		})

@@ -23,6 +23,7 @@ import (
 	"repro/internal/compose"
 	"repro/internal/core"
 	"repro/internal/equiv"
+	"repro/internal/equiv/equivref"
 	"repro/internal/lotos"
 	"repro/internal/lts"
 	"repro/internal/mutate"
@@ -50,17 +51,17 @@ func exploreForDiff(t *testing.T, entities map[int]*lotos.Spec) *lts.Graph {
 
 func assertEngineAgreement(t *testing.T, name string, g1, g2 *lts.Graph) {
 	t.Helper()
-	if got, want := equiv.WeakBisimilar(g1, g2), equiv.RefWeakBisimilar(g1, g2); got != want {
+	if got, want := equiv.WeakBisimilar(g1, g2), equivref.WeakBisimilar(g1, g2); got != want {
 		t.Errorf("%s: WeakBisimilar engine=%v reference=%v", name, got, want)
 	}
-	if got, want := equiv.ObservationCongruent(g1, g2), equiv.RefObservationCongruent(g1, g2); got != want {
+	if got, want := equiv.ObservationCongruent(g1, g2), equivref.ObservationCongruent(g1, g2); got != want {
 		t.Errorf("%s: ObservationCongruent engine=%v reference=%v", name, got, want)
 	}
-	if got, want := equiv.StrongBisimilar(g1, g2), equiv.RefStrongBisimilar(g1, g2); got != want {
+	if got, want := equiv.StrongBisimilar(g1, g2), equivref.StrongBisimilar(g1, g2); got != want {
 		t.Errorf("%s: StrongBisimilar engine=%v reference=%v", name, got, want)
 	}
 	for i, g := range []*lts.Graph{g1, g2} {
-		if got, want := equiv.NumClassesWeak(g), equiv.RefNumClassesWeak(g); got != want {
+		if got, want := equiv.NumClassesWeak(g), equivref.NumClassesWeak(g); got != want {
 			t.Errorf("%s: NumClassesWeak(g%d) engine=%d reference=%d", name, i+1, got, want)
 		}
 	}
@@ -68,13 +69,13 @@ func assertEngineAgreement(t *testing.T, name string, g1, g2 *lts.Graph) {
 }
 
 // assertTraceAgreement checks the weak-trace engine against the reference
-// string enumerator equiv.RefWeakTraces: the trace listings, the bounded
+// string enumerator equivref.WeakTraces: the trace listings, the bounded
 // equivalence verdict, the TraceDiff examples at several limits, and the
 // acceptor on every listed trace, its extension by delta and its one-label
 // mutations.
 func assertTraceAgreement(t *testing.T, name string, g1, g2 *lts.Graph, maxLen int) {
 	t.Helper()
-	r1, r2 := equiv.RefWeakTraces(g1, maxLen), equiv.RefWeakTraces(g2, maxLen)
+	r1, r2 := equivref.WeakTraces(g1, maxLen), equivref.WeakTraces(g2, maxLen)
 	if got, want := equiv.WeakTraceEquivalent(g1, g2, maxLen), reflect.DeepEqual(r1, r2); got != want {
 		t.Errorf("%s: WeakTraceEquivalent engine=%v reference=%v", name, got, want)
 	}
@@ -96,7 +97,7 @@ func assertTraceAgreement(t *testing.T, name string, g1, g2 *lts.Graph, maxLen i
 		// reference listing.
 		long := map[string]bool{}
 		alphabet := map[string]bool{"delta": true, "nosuch9": true}
-		for _, tr := range equiv.RefWeakTraces(side.g, maxLen+1) {
+		for _, tr := range equivref.WeakTraces(side.g, maxLen+1) {
 			long[tr] = true
 			for _, l := range lts.ParseTrace(tr) {
 				alphabet[l] = true

@@ -1,6 +1,6 @@
 package equiv
 
-// The integer equivalence engine. The reference checker (reference.go)
+// The integer equivalence engine. The reference checker (package equivref)
 // saturates weak transitions into per-state map[string][]int and re-renders
 // string signatures for every state on every refinement round; this engine
 // replaces both hot paths:

@@ -10,8 +10,8 @@
 // engine.go (interned labels, τ-SCC saturation, hashed partition
 // refinement); the trace checks and counterexample searches walk the
 // determinized graphs of lts.Subsets. The original map/string checkers are
-// retained in reference.go as the executable specification the
-// differential tests compare against.
+// retained in the test-only package equivref as the executable
+// specification the differential tests compare against.
 package equiv
 
 import (

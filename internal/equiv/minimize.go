@@ -28,6 +28,14 @@ func QuotientWeakMap(g *lts.Graph) (*lts.Graph, []int32) {
 	return buildQuotient(g, func(s int) int32 { return e.stateBlock(s) }, e.table)
 }
 
+// QuotientByBlocks builds the class graph of any per-state block
+// assignment, as QuotientWeak does for weak bisimilarity: blockOf(s) names
+// state s's class, and states sharing a block become one quotient state.
+func QuotientByBlocks(g *lts.Graph, blockOf func(int) int32) *lts.Graph {
+	q, _ := buildQuotient(g, blockOf, nil)
+	return q
+}
+
 // buildQuotient constructs the class graph from a per-state block
 // assignment, returning it with the renumbered per-state class map. The
 // label table (fresh when nil) interns labels for the per-class (label,

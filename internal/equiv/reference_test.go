@@ -1,11 +1,12 @@
-package equiv
+package equiv_test
 
 // Differential validation of the integer engine against the retained
-// map/string reference checker (reference.go): for hand-picked law pairs
+// map/string reference checker (package equivref): for hand-picked law pairs
 // and a randomized sweep of guarded behaviour expressions, every public
 // verdict — WeakBisimilar, ObservationCongruent, StrongBisimilar,
 // NumClassesWeak — must agree exactly, and so must the weak-trace engine's
-// listing, equivalence verdict and diff examples against RefWeakTraces. The corpus-wide differential sweep
+// listing, equivalence verdict and diff examples against equivref.WeakTraces.
+// The corpus-wide differential sweep
 // (service vs composed graphs plus mutants) lives in the root package,
 // which can import internal/compose.
 
@@ -15,6 +16,9 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/equiv"
+	"repro/internal/equiv/equivref"
+	"repro/internal/lotos"
 	"repro/internal/lts"
 )
 
@@ -41,30 +45,30 @@ var diffPairs = [][2]string{
 
 func assertAgreement(t *testing.T, name string, g1, g2 *lts.Graph) {
 	t.Helper()
-	if got, want := WeakBisimilar(g1, g2), RefWeakBisimilar(g1, g2); got != want {
+	if got, want := equiv.WeakBisimilar(g1, g2), equivref.WeakBisimilar(g1, g2); got != want {
 		t.Errorf("%s: WeakBisimilar engine=%v reference=%v", name, got, want)
 	}
-	if got, want := ObservationCongruent(g1, g2), RefObservationCongruent(g1, g2); got != want {
+	if got, want := equiv.ObservationCongruent(g1, g2), equivref.ObservationCongruent(g1, g2); got != want {
 		t.Errorf("%s: ObservationCongruent engine=%v reference=%v", name, got, want)
 	}
-	if got, want := StrongBisimilar(g1, g2), RefStrongBisimilar(g1, g2); got != want {
+	if got, want := equiv.StrongBisimilar(g1, g2), equivref.StrongBisimilar(g1, g2); got != want {
 		t.Errorf("%s: StrongBisimilar engine=%v reference=%v", name, got, want)
 	}
 	for i, g := range []*lts.Graph{g1, g2} {
-		if got, want := NumClassesWeak(g), RefNumClassesWeak(g); got != want {
-			t.Errorf("%s: NumClassesWeak(g%d) engine=%d reference=%d", name, i+1, got, want)
+		if got, want := equiv.NumClassesWeak(g), equivref.NumClassesWeak(g); got != want {
+			t.Errorf("%s: equiv.NumClassesWeak(g%d) engine=%d reference=%d", name, i+1, got, want)
 		}
 	}
 	// The weak-trace engine against the reference string enumerator.
 	const depth = 4
-	r1, r2 := RefWeakTraces(g1, depth), RefWeakTraces(g2, depth)
+	r1, r2 := equivref.WeakTraces(g1, depth), equivref.WeakTraces(g2, depth)
 	if got := lts.WeakTraces(g1, depth); !slices.Equal(got, r1) {
 		t.Errorf("%s: WeakTraces engine=%q reference=%q", name, got, r1)
 	}
-	if got, want := WeakTraceEquivalent(g1, g2, depth), slices.Equal(r1, r2); got != want {
+	if got, want := equiv.WeakTraceEquivalent(g1, g2, depth), slices.Equal(r1, r2); got != want {
 		t.Errorf("%s: WeakTraceEquivalent engine=%v reference=%v", name, got, want)
 	}
-	only1, only2 := TraceDiff(g1, g2, depth, 3)
+	only1, only2 := equiv.TraceDiff(g1, g2, depth, 3)
 	if want := firstMissing(r1, r2, 3); !slices.Equal(only1, want) {
 		t.Errorf("%s: TraceDiff only-g1 engine=%q reference=%q", name, only1, want)
 	}
@@ -87,7 +91,7 @@ func firstMissing(a, b []string, limit int) []string {
 
 func TestEngineAgreesWithReferenceOnLawPairs(t *testing.T) {
 	for _, pair := range diffPairs {
-		g1, g2 := graphOf(t, pair[0]), graphOf(t, pair[1])
+		g1, g2 := equiv.GraphOf(t, pair[0]), equiv.GraphOf(t, pair[1])
 		assertAgreement(t, fmt.Sprintf("%q vs %q", pair[0], pair[1]), g1, g2)
 	}
 }
@@ -95,10 +99,10 @@ func TestEngineAgreesWithReferenceOnLawPairs(t *testing.T) {
 func TestEngineAgreesWithReferenceOnRandomExpressions(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 60; i++ {
-		e1 := genLawExpr(r, 3)
-		e2 := genLawExpr(r, 3)
-		g1 := graphOfExpr(t, e1)
-		g2 := graphOfExpr(t, e2)
+		e1 := equiv.GenLawExpr(r, 3)
+		e2 := equiv.GenLawExpr(r, 3)
+		g1 := equiv.GraphOfExpr(t, e1)
+		g2 := equiv.GraphOfExpr(t, e2)
 		assertAgreement(t, fmt.Sprintf("random pair %d", i), g1, g2)
 		// Self comparisons exercise the guaranteed-equivalent path.
 		assertAgreement(t, fmt.Sprintf("random self %d", i), g1, g1)
@@ -112,17 +116,38 @@ func TestReferenceQuotientMatchesEngineQuotient(t *testing.T) {
 		"a1; exit ||| b2; exit",
 		"hide a1 in (a1; b2; a1; exit)",
 	} {
-		g := graphOf(t, src)
-		qe := QuotientWeak(g)
-		qr := RefQuotientWeak(g)
+		g := equiv.GraphOf(t, src)
+		qe := equiv.QuotientWeak(g)
+		qr := equivref.QuotientWeak(g)
 		if qe.NumStates() != qr.NumStates() {
 			t.Errorf("%q: quotient states engine=%d reference=%d", src, qe.NumStates(), qr.NumStates())
 		}
 		if qe.NumTransitions() != qr.NumTransitions() {
 			t.Errorf("%q: quotient transitions engine=%d reference=%d", src, qe.NumTransitions(), qr.NumTransitions())
 		}
-		if !RefWeakBisimilar(qe, qr) {
+		if !equivref.WeakBisimilar(qe, qr) {
 			t.Errorf("%q: engine and reference quotients not weakly bisimilar", src)
 		}
+	}
+}
+
+// TestReferenceAgreesOnTauCycle: on a hand-built three-state τ-cycle (see
+// TestTauCycleCollapsesToOneClass) the reference also finds one class.
+func TestReferenceAgreesOnTauCycle(t *testing.T) {
+	tau := lts.Internal()
+	g := &lts.Graph{
+		States: make([]lotos.Expr, 3),
+		Keys:   []string{"s0", "s1", "s2"},
+		Edges: [][]lts.Edge{
+			{{Label: tau, To: 1}},
+			{{Label: tau, To: 2}},
+			{{Label: tau, To: 0}},
+		},
+		Depth:    []int{0, 1, 2},
+		ObsDepth: []int{0, 0, 0},
+		Frontier: map[int]bool{},
+	}
+	if n := equivref.NumClassesWeak(g); n != 1 {
+		t.Fatalf("reference τ-cycle classes = %d, want 1", n)
 	}
 }

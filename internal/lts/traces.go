@@ -43,7 +43,8 @@ func AppendTrace(trace, label string) string {
 // AcceptsTrace reports whether the given observable trace (labels rendered
 // as by Label.String, joined with TraceSep; "" is the empty trace) is a weak
 // trace of the graph. For a truncated graph a false result may be spurious;
-// true results are always sound.
+// true results are always sound. A specification's traces are checked
+// exactly, with no depth bound, by its Monitor (CheckServiceTrace).
 func AcceptsTrace(g *Graph, trace string) bool {
 	if trace == "" {
 		return true

@@ -13,23 +13,24 @@ import (
 // allows. For completed runs the trace must moreover be extendable by
 // successful termination.
 //
-// The service state space is explored to exactly the observable depth
-// needed (trace length + 1), so the check is sound for recursive,
-// infinite-state services as well.
+// The check runs on the service's shared monitor (lts.CheckServiceTrace),
+// which derives service states only as the trace needs them and keeps them
+// for later checks, so it is exact at every trace length, recursive
+// services included. maxStates bounds the service states one check may
+// need (0 selects lts.DefaultMaxStates); a check that needs more returns an
+// error wrapping lts.ErrStateBudget, which says nothing about the trace.
+// The service spec is only read.
 func CheckTrace(service *lotos.Spec, res *Result, maxStates int) error {
-	depth := len(res.Trace) + 2
-	g, err := lts.ExploreSpec(service, lts.Limits{MaxObsDepth: depth, MaxStates: maxStates})
+	labels := res.TraceStrings()
+	v, err := lts.CheckServiceTrace(service, labels, maxStates)
 	if err != nil {
-		return fmt.Errorf("sim: exploring service: %w", err)
+		return fmt.Errorf("sim: checking trace against the service: %w", err)
 	}
-	trace := lts.JoinTrace(res.TraceStrings())
-	if !lts.AcceptsTrace(g, trace) {
-		return fmt.Errorf("sim: observed trace %q is not a service trace", trace)
+	if !v.Accepted {
+		return fmt.Errorf("sim: observed trace %q is not a service trace", lts.JoinTrace(labels))
 	}
-	if res.Completed {
-		if !lts.AcceptsTrace(g, lts.AppendTrace(trace, "delta")) {
-			return fmt.Errorf("sim: run terminated but service cannot terminate after %q", trace)
-		}
+	if res.Completed && !v.Terminates {
+		return fmt.Errorf("sim: run terminated but service cannot terminate after %q", lts.JoinTrace(labels))
 	}
 	return nil
 }

@@ -1,12 +1,16 @@
 package sim
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/lotos"
+	"repro/internal/lts"
 	"repro/internal/medium"
 )
 
@@ -253,6 +257,35 @@ func TestCheckTraceRejectsBadTrace(t *testing.T) {
 	}
 	if err := CheckTrace(service, res2, 0); err == nil {
 		t.Error("premature termination accepted")
+	}
+}
+
+// TestCheckTraceStateBudgetIsNotAViolation: a check whose service states
+// outgrow maxStates fails with lts.ErrStateBudget, not with a verdict. The
+// trace a1^3 b2^3 of the recursive service (a1)^n (b2)^n is a service trace;
+// the bounded explorer, capped at 8 states, used to reject it.
+func TestCheckTraceStateBudgetIsNotAViolation(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "specs", "anbn.spec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	service := lotos.MustParse(string(src))
+	res := &Result{Completed: true}
+	for i, ev := range []lotos.Event{
+		lotos.ServiceEvent("a", 1), lotos.ServiceEvent("a", 1), lotos.ServiceEvent("a", 1),
+		lotos.ServiceEvent("b", 2), lotos.ServiceEvent("b", 2), lotos.ServiceEvent("b", 2),
+	} {
+		res.Trace = append(res.Trace, TraceEvent{Seq: i, Place: ev.Place, Ev: ev})
+	}
+	err = CheckTrace(service, res, 8)
+	if !errors.Is(err, lts.ErrStateBudget) {
+		t.Fatalf("capped check: %v, want an error wrapping lts.ErrStateBudget", err)
+	}
+	if strings.Contains(err.Error(), "not a service trace") {
+		t.Fatalf("capped check reported a violation: %v", err)
+	}
+	if err := CheckTrace(service, res, 0); err != nil {
+		t.Fatalf("uncapped check: %v", err)
 	}
 }
 

@@ -125,9 +125,12 @@ func Merge(logs map[int]*wire.EntityLog) (*Merged, error) {
 	return m, nil
 }
 
-// Check classifies one session's entity logs against the service. maxStates
-// bounds the service exploration (the LTS is explored only to the trace's
-// observable depth, so recursive services check fine).
+// Check classifies one session's entity logs against the service. The
+// merged trace runs on the service's shared monitor (lts.CheckServiceTrace),
+// exact at every trace length, recursive services included. maxStates
+// bounds the service states the check may need (0 selects
+// lts.DefaultMaxStates); a check that needs more returns an error wrapping
+// lts.ErrStateBudget, not a verdict. The service spec is only read.
 func Check(service *lotos.Spec, logs map[int]*wire.EntityLog, maxStates int) (*Report, error) {
 	if len(logs) == 0 {
 		return nil, fmt.Errorf("conformance: no entity logs")
@@ -186,15 +189,14 @@ func Check(service *lotos.Spec, logs map[int]*wire.EntityLog, maxStates int) (*R
 	}
 
 	// The trace-inclusion core: the merged (prefix) trace must be a weak
-	// trace of the service, explored exactly to the needed depth.
-	depth := len(rep.Trace) + 2
-	g, err := lts.ExploreSpec(service, lts.Limits{MaxObsDepth: depth, MaxStates: maxStates})
+	// trace of the service.
+	v, err := lts.CheckServiceTrace(service, rep.Trace, maxStates)
 	if err != nil {
-		return nil, fmt.Errorf("conformance: exploring service: %w", err)
+		return nil, fmt.Errorf("conformance: checking trace against the service: %w", err)
 	}
 	trace := lts.JoinTrace(rep.Trace)
-	rep.TraceAccepted = lts.AcceptsTrace(g, trace)
-	deltaOK := lts.AcceptsTrace(g, lts.AppendTrace(trace, "delta"))
+	rep.TraceAccepted = v.Accepted
+	deltaOK := v.Terminates
 
 	switch {
 	case !rep.TraceAccepted:

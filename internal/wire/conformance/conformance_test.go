@@ -2,11 +2,15 @@ package conformance
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/lotos"
+	"repro/internal/lts"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -349,5 +353,32 @@ func outcomeOf(res *sim.Result) string {
 		return wire.OutcomeTimedOut
 	default:
 		return wire.OutcomeStopped
+	}
+}
+
+// TestCheckStateBudgetIsAnError: when the service states a check needs
+// outgrow maxStates, Check returns an error wrapping lts.ErrStateBudget and
+// no verdict. The bounded explorer, capped at 8 states, used to report the
+// service trace a1^3 b2^3 of (a1)^n (b2)^n as a violation.
+func TestCheckStateBudgetIsAnError(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "..", "specs", "anbn.spec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	service := parseService(t, string(src))
+	logs := buildLogs(t, map[int]entitySession{
+		1: {events: []logRec{{0, "a1"}, {1, "a1"}, {2, "a1"}}, outcome: wire.OutcomeCompleted},
+		2: {events: []logRec{{3, "b2"}, {4, "b2"}, {5, "b2"}}, outcome: wire.OutcomeCompleted},
+	})
+	rep, err := Check(service, logs, 8)
+	if !errors.Is(err, lts.ErrStateBudget) || rep != nil {
+		t.Fatalf("capped check: report %+v, error %v; want no report and lts.ErrStateBudget", rep, err)
+	}
+	rep, err = Check(service, logs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Verdict != VerdictAccepted {
+		t.Fatalf("uncapped check: %+v", rep)
 	}
 }

@@ -1066,7 +1066,7 @@ func (p *Protocol) Simulate(opts *SimOptions) (out *SimResult, err error) {
 	}
 	out.CompiledEntities = res.CompiledPlaces()
 	out.InterpretedEntities = len(res.Engines) - out.CompiledEntities
-	out.TraceValid = sim.CheckTrace(lotos.CloneSpec(p.d.Service.Spec), res, 0) == nil
+	out.TraceValid = sim.CheckTrace(p.d.Service.Spec, res, 0) == nil
 	return out, nil
 }
 
@@ -1217,11 +1217,12 @@ type ConformanceReport struct {
 // deployment wrote (one file per entity) and checks the merged global trace
 // against this service: accept = trace inclusion, with deadlock flagged on
 // quiescent non-final states and missing observations reported as an
-// incomplete (prefix-checked) session. maxStates bounds the service
-// exploration (0 = default).
+// incomplete (prefix-checked) session. maxStates bounds the service states
+// the check may need (0 = default); a check that needs more returns an
+// error, not a report.
 func (s *Service) CheckTraceLogs(paths []string, maxStates int) (rep *ConformanceReport, err error) {
 	defer guard(&err)
-	r, err := conformance.CheckFiles(lotos.CloneSpec(s.spec), paths, maxStates)
+	r, err := conformance.CheckFiles(s.spec, paths, maxStates)
 	if err != nil {
 		return nil, err
 	}
