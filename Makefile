@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fuzz-smoke fault-matrix-smoke compositional-smoke reduction-smoke cluster-smoke dist-smoke live-smoke run-pgd bench bench-baseline bench-server bench-equiv bench-equiv-record bench-fsm bench-fsm-record bench-cluster bench-cluster-record bench-dist bench-dist-record bench-compositional bench-compositional-record bench-reduction bench-reduction-record
+.PHONY: build test check fmt-check fuzz-smoke fault-matrix-smoke compositional-smoke reduction-smoke cluster-smoke dist-smoke live-smoke run-pgd bench bench-baseline bench-server bench-equiv bench-equiv-record bench-fsm bench-fsm-record bench-cluster bench-cluster-record bench-dist bench-dist-record bench-compositional bench-compositional-record bench-reduction bench-reduction-record
 
 # guard-record refuses to overwrite a committed BENCH_*.json file: each one
 # is the performance record of the PR that introduced its lane, captured on
@@ -25,8 +25,9 @@ test:
 # worker pool, the shared service monitors and their trace-log checker, and
 # the daemon), plus a short fuzz smoke of the native fuzz targets. It also
 # vets and tests the benchmark module, a module of its own that `./...` does
-# not reach but that imports the compose, lts and equiv APIs.
-check:
+# not reach but that imports the compose, lts and equiv APIs. It starts with
+# the formatting gate.
+check: fmt-check
 	$(GO) vet ./...
 	$(GO) -C benchmark vet . && $(GO) -C benchmark test .
 	$(GO) test -race ./internal/sim/ ./internal/medium/ ./internal/compose/ ./internal/lts/ ./internal/service/ ./internal/wire/conformance/ ./cmd/pgd/
@@ -37,6 +38,12 @@ check:
 	$(MAKE) dist-smoke
 	$(MAKE) live-smoke
 	$(MAKE) fuzz-smoke
+
+# fmt-check fails when any Go file is not gofmt-clean, listing the files.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt: these files need formatting:"; echo "$$out"; exit 1; \
+	fi
 
 # fault-matrix-smoke sweeps the whole corpus through the fault matrix once
 # (reliable, loss, dup, reorder at caps 1 and 2) under the race detector,

@@ -265,10 +265,10 @@ const (
 // encoder appends wire primitives to a buffer.
 type encoder struct{ buf []byte }
 
-func (e *encoder) u8(v uint8)     { e.buf = append(e.buf, v) }
+func (e *encoder) u8(v uint8)       { e.buf = append(e.buf, v) }
 func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *encoder) uint(v int)     { e.uvarint(uint64(v)) }
-func (e *encoder) u64(v uint64)   { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
+func (e *encoder) uint(v int)       { e.uvarint(uint64(v)) }
+func (e *encoder) u64(v uint64)     { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
 func (e *encoder) bool(v bool) {
 	if v {
 		e.u8(1)
