@@ -137,26 +137,90 @@ func renderFingerprints(t *testing.T) string {
 	return b.String()
 }
 
+// serviceFingerprintFile pins the explored service graph of every corpus
+// spec, as lts.ExploreSpec builds it for Verify: keys, depths, observable
+// depths, edges and frontier, digested by graphFingerprint.
+var serviceFingerprintFile = filepath.Join("testdata", "service_fingerprint.golden")
+
+// serviceFingerprintBounds are the service explorations pinned per spec:
+// the verify CLI's defaults for every corpus spec, plus the verify-deep
+// benchmark bounds for multiinstance.
+var serviceFingerprintBounds = []struct {
+	name string
+	lim  lts.Limits
+	only string // when set, the one spec explored at these bounds
+}{
+	{"defaults", lts.Limits{MaxObsDepth: DefaultObsDepth, MaxStates: lts.DefaultMaxStates}, ""},
+	{"deep", lts.Limits{MaxObsDepth: 4, MaxStates: 1000000}, "multiinstance"},
+}
+
+func renderServiceFingerprints(t *testing.T) string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.spec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(paths)
+	var b strings.Builder
+	for _, bound := range serviceFingerprintBounds {
+		for _, path := range paths {
+			name := strings.TrimSuffix(filepath.Base(path), ".spec")
+			if bound.only != "" && name != bound.only {
+				continue
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := core.Derive(lotos.MustParse(string(src)), core.Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			g, err := lts.ExploreSpec(d.Service.Spec, bound.lim)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, bound.name, err)
+			}
+			fmt.Fprintf(&b, "%s/%s states=%d transitions=%d frontier=%d graph=%s\n",
+				name, bound.name, g.NumStates(), g.NumTransitions(), len(g.Frontier), graphFingerprint(g))
+		}
+	}
+	return b.String()
+}
+
+// TestServiceGraphFingerprint asserts that every pinned service exploration
+// is byte-identical to the recorded golden. To re-record deliberately,
+// delete the golden file and run this test once: it writes the file and
+// fails, asking for a re-run.
+func TestServiceGraphFingerprint(t *testing.T) {
+	checkGolden(t, serviceFingerprintFile, renderServiceFingerprints(t), "service graph fingerprints")
+}
+
 // TestProductGraphFingerprint asserts that every pinned exploration is
 // byte-identical to the recorded golden. To re-record deliberately, delete
 // the golden file and run this test once: it writes the file and fails,
 // asking for a re-run.
 func TestProductGraphFingerprint(t *testing.T) {
-	got := renderFingerprints(t)
-	want, err := os.ReadFile(fingerprintFile)
+	checkGolden(t, fingerprintFile, renderFingerprints(t), "product graph fingerprints")
+}
+
+// checkGolden compares got with the golden file, recording the file and
+// failing when it does not exist yet.
+func checkGolden(t *testing.T, file, got, what string) {
+	t.Helper()
+	want, err := os.ReadFile(file)
 	if os.IsNotExist(err) {
-		if err := os.MkdirAll(filepath.Dir(fingerprintFile), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(fingerprintFile, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Fatalf("recorded %s; re-run to compare", fingerprintFile)
+		t.Fatalf("recorded %s; re-run to compare", file)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != string(want) {
-		t.Errorf("product graph fingerprints differ from %s:\n got:\n%s\nwant:\n%s", fingerprintFile, got, want)
+		t.Errorf("%s differ from %s:\n got:\n%s\nwant:\n%s", what, file, got, want)
 	}
 }
