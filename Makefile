@@ -229,7 +229,9 @@ bench-compositional-record:
 # (k identical relay instances explored to completion with the spilling
 # visited index held at a 1 MiB budget; `peak_mem_bytes` is the residency
 # evidence), and the end-to-end facade verification of multiinstance with
-# and without symmetry. Also the CI smoke (benchtime=1x, must complete).
+# and without symmetry, plus with symmetry on one worker
+# (`por+symmetry/serial`, the verify-deep benchmark's configuration). Also
+# the CI smoke (benchtime=1x, must complete).
 bench-reduction:
 	$(GO) test -run '^$$' -bench '^BenchmarkReduction(Explore|BigK|Verify)$$' -benchtime $(or $(BENCHTIME),1x) -benchmem .
 

@@ -131,9 +131,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 	}
 	if *showTrans {
-		for s, es := range g.Edges {
-			for _, e := range es {
-				fmt.Fprintf(stdout, "  %4d --%s--> %d\n", s, e.Label, e.To)
+		for s := 0; s < g.NumStates(); s++ {
+			for _, e := range g.Out(s) {
+				fmt.Fprintf(stdout, "  %4d --%s--> %d\n", s, g.Table.Name(e.Label), e.To)
 			}
 		}
 	}

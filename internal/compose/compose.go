@@ -30,13 +30,20 @@
 // System, so queue operations and equality checks never allocate or compare
 // strings, and a global state packs into one pointer-free []int32 (see
 // gstate). Key encoding works in scratch memory owned by one derivation, so
-// keying a state allocates only the key string.
+// keying a state allocates nothing.
+//
+// # Labels
+//
+// Transition labels are interned once per local transition into the
+// system's lts.LabelTable, so the explorer receives label ids, and the
+// explored graph's edges are two int32s each.
 package compose
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -104,6 +111,11 @@ type System struct {
 	// and no SOS environment exists.
 	preset bool
 
+	// labels interns every transition label; tau and delta are the ids of
+	// the internal action and of successful termination.
+	labels     *lts.LabelTable
+	tau, delta lts.LabelID
+
 	// Interning tables, shared by every exploration of the system and —
 	// with several explorer workers — by every worker, hence the lock.
 	// Entity-local state interning mirrors the paper's observation that
@@ -140,10 +152,11 @@ type localState struct {
 // with the message bookkeeping resolved once at derivation time.
 type cachedTrans struct {
 	label lts.Label
-	to    int32 // local state id
-	peer  int32 // place index of the message peer, -1 for non-message labels
-	msg   int32 // interned message id (sent or expected), -1 otherwise
-	flush bool  // receive carries interrupt-handshake flush semantics
+	id    lts.LabelID // label interned in the system's table
+	to    int32       // local state id
+	peer  int32       // place index of the message peer, -1 for non-message labels
+	msg   int32       // interned message id (sent or expected), -1 otherwise
+	flush bool        // receive carries interrupt-handshake flush semantics
 }
 
 // digest16 truncates a SHA-256 content digest to the 16 bytes used in keys.
@@ -221,7 +234,7 @@ func (s *System) localTrans(idx int, id int32) ([]cachedTrans, error) {
 	}
 	out := make([]cachedTrans, len(ts))
 	for i, t := range ts {
-		ct := cachedTrans{label: t.Label, to: s.internStateLocked(idx, t.To), peer: -1, msg: -1}
+		ct := cachedTrans{label: t.Label, id: s.labels.Intern(t.Label), to: s.internStateLocked(idx, t.To), peer: -1, msg: -1}
 		if t.Label.Kind == lts.LEvent {
 			ev := t.Label.Ev
 			if ev.Kind == lotos.EvSend || ev.Kind == lotos.EvRecv {
@@ -249,6 +262,11 @@ func (s *System) localTrans(idx int, id int32) ([]cachedTrans, error) {
 // New prepares a system from derived entities. Each entity is resolved
 // independently (entities have their own process name spaces).
 func New(entities map[int]*lotos.Spec, cfg Config) (*System, error) {
+	return newSystem(entities, cfg, lts.NewLabelTable())
+}
+
+// newSystem is New interning labels into the given table.
+func newSystem(entities map[int]*lotos.Spec, cfg Config, labels *lts.LabelTable) (*System, error) {
 	if cfg.ChannelCap <= 0 {
 		cfg.ChannelCap = DefaultChannelCap
 	}
@@ -259,6 +277,7 @@ func New(entities map[int]*lotos.Spec, cfg Config) (*System, error) {
 		red:      cfg.effectiveReductions(),
 		msgIDs:   map[message]int32{},
 	}
+	sys.setLabels(labels)
 	for p := range entities {
 		sys.Places = append(sys.Places, p)
 	}
@@ -280,6 +299,13 @@ func New(entities map[int]*lotos.Spec, cfg Config) (*System, error) {
 		sys.sym = detectSymmetry(sys.Places, entities)
 	}
 	return sys, nil
+}
+
+// setLabels installs the system's label table.
+func (s *System) setLabels(labels *lts.LabelTable) {
+	s.labels = labels
+	s.tau = labels.Intern(lts.Internal())
+	s.delta = labels.Intern(lts.Delta())
 }
 
 // message is one in-flight synchronization message.
@@ -333,8 +359,9 @@ func (m message) String() string {
 // interned local-state ids of the n entities (indexed like Places), then one
 // record per non-empty channel in ascending slot order — the slot
 // fromIdx*n + toIdx, the queue length, and the queued message ids. Empty
-// channels have no record, so equal states pack to equal slices. An emitted
-// state is never mutated: every successor is a fresh copy.
+// channels have no record, so equal states pack to equal slices. Successors
+// are built in a derivation's scratch memory and copied into the explorer's
+// buffer when emitted.
 type gstate []int32
 
 // channel decodes the channel record starting at pos (records start at n
@@ -353,18 +380,19 @@ func (g gstate) queue(n, slot int) []int32 {
 	return nil
 }
 
-// withLocal copies the state with one entity's local state replaced.
-func (g gstate) withLocal(idx int, id int32) gstate {
-	out := make(gstate, len(g))
-	copy(out, g)
+// withLocal copies the state into dst, reusing its memory, with one
+// entity's local state replaced.
+func (g gstate) withLocal(dst gstate, idx int, id int32) gstate {
+	out := append(dst[:0], g...)
 	out[idx] = id
 	return out
 }
 
-// withQueue copies the state with the queue of one channel slot replaced by
-// q, which may alias g: the slot's record is rewritten, inserted in slot
-// order, or dropped when q is empty.
-func (g gstate) withQueue(n, slot int, q []int32) gstate {
+// withQueue copies the state into dst, reusing its memory, with the queue
+// of one channel slot replaced by q, which may alias g but not dst: the
+// slot's record is rewritten, inserted in slot order, or dropped when q is
+// empty.
+func (g gstate) withQueue(dst gstate, n, slot int, q []int32) gstate {
 	at := n // start of the slot's record, or of the first record past it
 	for at < len(g) && int(g[at]) < slot {
 		at += 2 + int(g[at+1])
@@ -377,7 +405,7 @@ func (g gstate) withQueue(n, slot int, q []int32) gstate {
 	if len(q) > 0 {
 		size += 2 + len(q)
 	}
-	out := make(gstate, size)
+	out := slices.Grow(dst[:0], size)[:size]
 	w := copy(out, g[:at])
 	if len(q) > 0 {
 		out[w], out[w+1] = int32(slot), int32(len(q))
@@ -389,29 +417,26 @@ func (g gstate) withQueue(n, slot int, q []int32) gstate {
 
 // scratch is the working memory of one derive call: the key encoder's input
 // buffer and symmetry tables, the state's local transitions, and the
-// transitions, successor queue and δ targets under construction. derive
+// successor state, successor queue and δ targets under construction. derive
 // takes one from scratchPool and puts it back when it returns, so no two
 // goroutines ever share one.
 type scratch struct {
-	buf   []byte              // key digest input
-	trans [][]cachedTrans     // place idx -> local transitions of the state
-	out   []lts.GenTransition // emitted transitions
-	queue []int32             // successor channel queue
-	delta []int32             // δ targets, indexed like Places
-	sigs  [][]byte            // column -> canonical sort signature
-	order []int               // canonical position -> column
-	rank  []int               // column -> canonical position
+	buf   []byte          // key digest input
+	trans [][]cachedTrans // place idx -> local transitions of the state
+	next  gstate          // successor state
+	queue []int32         // successor channel queue
+	delta []int32         // δ targets, indexed like Places
+	sigs  [][]byte        // column -> canonical sort signature
+	order []int           // canonical position -> column
+	rank  []int           // column -> canonical position
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // putScratch returns a scratch to the pool without its references into the
-// system's tables and the emitted states, so a pooled scratch keeps nothing
-// alive.
+// system's tables, so a pooled scratch keeps nothing alive.
 func putScratch(sc *scratch) {
 	clear(sc.trans)
-	clear(sc.out)
-	sc.out = sc.out[:0]
 	scratchPool.Put(sc)
 }
 
@@ -420,14 +445,15 @@ func putScratch(sc *scratch) {
 func (s *System) key(g gstate, sc *scratch) string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.keyLocked(g, sc)
+	k := s.keyLocked(g, sc)
+	return string(k[:])
 }
 
 // keyLocked builds the canonical global state key. Under symmetry reduction
 // the key identifies the state's permutation orbit (see canonKeyLocked),
 // falling back to the identity key for states no column permutation applies
-// to. The returned string is the only allocation. Caller holds s.mu (read).
-func (s *System) keyLocked(g gstate, sc *scratch) string {
+// to. It does not allocate. Caller holds s.mu (read).
+func (s *System) keyLocked(g gstate, sc *scratch) [16]byte {
 	if s.sym != nil {
 		if k, ok := s.canonKeyLocked(g, sc); ok {
 			return k
@@ -442,7 +468,7 @@ func (s *System) keyLocked(g gstate, sc *scratch) string {
 // 16-byte digest. The layout is unambiguous (fixed-size digest blocks,
 // explicit lengths, channels in ascending slot order), so distinct global
 // states never share a key input.
-func (s *System) binaryKeyLocked(g gstate, sc *scratch) string {
+func (s *System) binaryKeyLocked(g gstate, sc *scratch) [16]byte {
 	n := len(s.Places)
 	buf := sc.buf[:0]
 	for idx, id := range g[:n] {
@@ -457,8 +483,7 @@ func (s *System) binaryKeyLocked(g gstate, sc *scratch) string {
 		}
 	}
 	sc.buf = buf
-	sum := digest16(buf)
-	return string(sum[:])
+	return digest16(buf)
 }
 
 // source implements lts.StateSource over the product system. Next is safe
@@ -467,35 +492,31 @@ type source struct {
 	sys *System
 }
 
+func (src *source) Labels() *lts.LabelTable { return src.sys.labels }
+
 // Next derives all global transitions of a product state.
-func (src *source) Next(state any) ([]lts.GenTransition, error) {
-	out, _, err := src.sys.derive(state.(gstate), false)
-	return out, err
+func (src *source) Next(st lts.State, out *lts.Successors) error {
+	_, err := src.sys.derive(st.Words, out, false)
+	return err
 }
 
-// successors collects the transitions derive emits in its scratch, with
-// their witness annotations when requested (index-aligned with them).
+// successors writes the transitions derive emits into the caller's buffer,
+// with their witness annotations when requested (index-aligned with them).
 type successors struct {
 	sys      *System
 	sc       *scratch
+	out      *lts.Successors
 	annotate bool
 	steps    []WitnessStep
 }
 
 // emit appends one transition to the successor state next.
-func (e *successors) emit(l lts.Label, next gstate, st WitnessStep) {
-	e.sc.out = append(e.sc.out, lts.GenTransition{Label: l, Key: e.sys.keyLocked(next, e.sc), To: next})
+func (e *successors) emit(label lts.LabelID, next gstate, st WitnessStep) {
+	key := e.sys.keyLocked(next, e.sc)
+	e.out.Emit(label, key[:], next)
 	if e.annotate {
 		e.steps = append(e.steps, st)
 	}
-}
-
-// result copies the emitted transitions out of the scratch into one slice of
-// exactly their number.
-func (e *successors) result() ([]lts.GenTransition, []WitnessStep, error) {
-	out := make([]lts.GenTransition, len(e.sc.out))
-	copy(out, e.sc.out)
-	return out, e.steps, nil
 }
 
 // derive computes the global transitions of a product state:
@@ -511,21 +532,21 @@ func (e *successors) result() ([]lts.GenTransition, []WitnessStep, error) {
 //   - a medium fault (per Config.Faults) -> internal transition dropping,
 //     duplicating or swapping in-transit messages (see faultMoves).
 //
-// With annotate set it also returns one WitnessStep per transition — the
-// concrete description (acting entity, local transition index, channel,
-// message, fault) used to build replayable counterexamples. The two slices
-// are index-aligned.
+// The transitions are appended to out. With annotate set derive also
+// returns one WitnessStep per transition — the concrete description (acting
+// entity, local transition index, channel, message, fault) used to build
+// replayable counterexamples — index-aligned with the transitions it
+// appended.
 //
-// Each successor costs its packed state, the interface box carrying it and
-// its key string, and the result is one exactly sized slice; everything
-// else lives in a pooled scratch owned by this call. The moves are emitted
-// under one read lock: keys and message renderings read interning tables
-// that other workers may grow.
-func (s *System) derive(g gstate, annotate bool) ([]lts.GenTransition, []WitnessStep, error) {
+// Successor states and keys are built in a pooled scratch owned by this
+// call and copied into out, so a derivation allocates nothing per
+// successor. The moves are emitted under one read lock: keys and message
+// renderings read interning tables that other workers may grow.
+func (s *System) derive(g gstate, out *lts.Successors, annotate bool) ([]WitnessStep, error) {
 	n := len(s.Places)
 	sc := scratchPool.Get().(*scratch)
 	defer putScratch(sc)
-	e := &successors{sys: s, sc: sc, annotate: annotate}
+	e := &successors{sys: s, sc: sc, out: out, annotate: annotate}
 
 	// Ample-set partial-order reduction: if one entity's complete local
 	// transition set qualifies as an ample set, fire exactly those
@@ -561,7 +582,7 @@ func (s *System) derive(g gstate, annotate bool) ([]lts.GenTransition, []Witness
 	for idx, localID := range g[:n] {
 		ts, err := s.localTrans(idx, localID)
 		if err != nil {
-			return nil, nil, fmt.Errorf("entity %d: %w", s.Places[idx], err)
+			return nil, fmt.Errorf("entity %d: %w", s.Places[idx], err)
 		}
 		trans = append(trans, ts)
 		if s.red&RedPOR != 0 && s.ample(g, idx, ts) {
@@ -576,7 +597,7 @@ func (s *System) derive(g gstate, annotate bool) ([]lts.GenTransition, []Witness
 	if ampleIdx >= 0 {
 		s.entityMoves(e, g, ampleIdx, trans[ampleIdx])
 		s.ampleHits.Add(1)
-		return e.result()
+		return e.steps, nil
 	}
 	for idx, ts := range trans {
 		s.entityMoves(e, g, idx, ts)
@@ -592,14 +613,14 @@ func (s *System) derive(g gstate, annotate bool) ([]lts.GenTransition, []Witness
 	}
 	sc.delta = delta
 	if len(delta) == n && n > 0 {
-		next := append(gstate(nil), g...)
-		copy(next, delta)
-		e.emit(lts.Delta(), next, WitnessStep{Kind: StepDelta, Place: -1, TIndex: -1, Label: "delta"})
+		sc.next = append(sc.next[:0], g...)
+		copy(sc.next, delta)
+		e.emit(s.delta, sc.next, WitnessStep{Kind: StepDelta, Place: -1, TIndex: -1, Label: "delta"})
 	}
 	if s.cfg.Faults.Any() {
 		s.faultMoves(e, g)
 	}
-	return e.result()
+	return e.steps, nil
 }
 
 // ample reports whether entity idx's local transitions ts form an ample set
@@ -639,14 +660,19 @@ func (s *System) entityMoves(e *successors, g gstate, idx int, ts []cachedTrans)
 		t := &ts[i]
 		switch t.label.Kind {
 		case lts.LInternal:
-			e.emit(lts.Internal(), g.withLocal(idx, t.to),
+			e.sc.next = g.withLocal(e.sc.next, idx, t.to)
+			e.emit(s.tau, e.sc.next,
 				WitnessStep{Kind: StepInternal, Place: s.Places[idx], TIndex: i, Label: "i"})
 		case lts.LEvent:
 			ev := t.label.Ev
 			switch ev.Kind {
 			case lotos.EvService:
-				e.emit(t.label, g.withLocal(idx, t.to),
-					WitnessStep{Kind: StepService, Place: s.Places[idx], TIndex: i, Ev: ev, Label: ev.String()})
+				e.sc.next = g.withLocal(e.sc.next, idx, t.to)
+				var st WitnessStep
+				if e.annotate {
+					st = WitnessStep{Kind: StepService, Place: s.Places[idx], TIndex: i, Ev: ev, Label: ev.String()}
+				}
+				e.emit(t.id, e.sc.next, st)
 			case lotos.EvSend:
 				slot := idx*n + int(t.peer)
 				q := g.queue(n, slot)
@@ -654,8 +680,9 @@ func (s *System) entityMoves(e *successors, g gstate, idx int, ts []cachedTrans)
 					continue // channel full: the send blocks
 				}
 				e.sc.queue = append(append(e.sc.queue[:0], q...), t.msg)
-				next := g.withQueue(n, slot, e.sc.queue)
+				next := g.withQueue(e.sc.next, n, slot, e.sc.queue)
 				next[idx] = t.to
+				e.sc.next = next
 				var st WitnessStep
 				if e.annotate {
 					msg := s.msgs[t.msg].String()
@@ -665,20 +692,21 @@ func (s *System) entityMoves(e *successors, g gstate, idx int, ts []cachedTrans)
 						Label: fmt.Sprintf("send %d->%d %s", s.Places[idx], s.Places[int(t.peer)], msg),
 					}
 				}
-				e.emit(lts.Internal(), next, st)
+				e.emit(s.tau, next, st)
 			case lotos.EvRecv:
 				slot := int(t.peer)*n + idx
 				rest, ok := consumeIDs(g.queue(n, slot), t.msg, t.flush)
 				if !ok {
 					continue // no matching message consumable
 				}
-				next := g.withQueue(n, slot, rest)
+				next := g.withQueue(e.sc.next, n, slot, rest)
 				next[idx] = t.to
+				e.sc.next = next
 				var st WitnessStep
 				if e.annotate {
 					st = s.recvStep(idx, i, t)
 				}
-				e.emit(lts.Internal(), next, st)
+				e.emit(s.tau, next, st)
 			}
 		}
 	}
@@ -726,7 +754,8 @@ func (s *System) faultMoves(e *successors, g gstate) {
 						Label: fmt.Sprintf("loss %d->%d %s@%d", fromP, toP, msg, i),
 					}
 				}
-				e.emit(lts.Internal(), g.withQueue(n, slot, e.sc.queue), st)
+				e.sc.next = g.withQueue(e.sc.next, n, slot, e.sc.queue)
+				e.emit(s.tau, e.sc.next, st)
 			}
 		}
 		if s.cfg.Faults.Duplication && len(q) < s.cfg.ChannelCap {
@@ -740,7 +769,8 @@ func (s *System) faultMoves(e *successors, g gstate) {
 						Label: fmt.Sprintf("dup %d->%d %s@%d", fromP, toP, msg, i),
 					}
 				}
-				e.emit(lts.Internal(), g.withQueue(n, slot, e.sc.queue), st)
+				e.sc.next = g.withQueue(e.sc.next, n, slot, e.sc.queue)
+				e.emit(s.tau, e.sc.next, st)
 			}
 		}
 		if s.cfg.Faults.Reorder {
@@ -759,7 +789,8 @@ func (s *System) faultMoves(e *successors, g gstate) {
 						Label: fmt.Sprintf("reorder %d->%d @%d", fromP, toP, i),
 					}
 				}
-				e.emit(lts.Internal(), g.withQueue(n, slot, nq), st)
+				e.sc.next = g.withQueue(e.sc.next, n, slot, nq)
+				e.emit(s.tau, e.sc.next, st)
 			}
 		}
 	}
@@ -793,7 +824,7 @@ func (s *System) explore(statsOnly bool) (*lts.Graph, *lts.SpillStats, error) {
 		spill = &lts.SpillConfig{Budget: s.cfg.SpillBudget, Dir: s.cfg.SpillDir, StatsOnly: statsOnly}
 	}
 	root := s.rootState()
-	g, st, err := lts.ExploreSource(&source{sys: s}, s.key(root, new(scratch)), root, s.cfg.Limits, s.cfg.Workers, spill)
+	g, st, err := lts.ExploreSource(&source{sys: s}, s.key(root, new(scratch)), lts.State{Words: root}, s.cfg.Limits, s.cfg.Workers, spill)
 	s.spillStats = st
 	return g, st, err
 }

@@ -109,6 +109,12 @@ func BuildEntityLTS(place int, sp *lotos.Spec, maxStates int) (*EntityLTS, error
 // parallel exploration agree on the key set exactly as in the monolithic
 // system.
 func NewCompositional(entities map[int]*lotos.Spec, ltss map[int]*EntityLTS, cfg Config) (*System, error) {
+	return newCompositional(entities, ltss, cfg, lts.NewLabelTable())
+}
+
+// newCompositional is NewCompositional interning labels into the given
+// table.
+func newCompositional(entities map[int]*lotos.Spec, ltss map[int]*EntityLTS, cfg Config, labels *lts.LabelTable) (*System, error) {
 	if cfg.ChannelCap <= 0 {
 		cfg.ChannelCap = DefaultChannelCap
 	}
@@ -122,6 +128,7 @@ func NewCompositional(entities map[int]*lotos.Spec, ltss map[int]*EntityLTS, cfg
 		msgIDs: map[message]int32{},
 		preset: true,
 	}
+	sys.setLabels(labels)
 	for p := range entities {
 		sys.Places = append(sys.Places, p)
 	}
@@ -145,12 +152,15 @@ func NewCompositional(entities map[int]*lotos.Spec, ltss map[int]*EntityLTS, cfg
 			sys.intern[idx][key] = int32(sid)
 			states[sid] = localState{sum: digest16([]byte(key)), derived: true}
 		}
-		for sid, edges := range g.Edges {
+		ids := lts.NewLabelMap(g.Table, sys.labels)
+		for sid := range states {
+			edges := g.Out(sid)
 			trans := make([]cachedTrans, len(edges))
 			for i, e := range edges {
-				ct := cachedTrans{label: e.Label, to: int32(e.To), peer: -1, msg: -1}
-				if e.Label.Kind == lts.LEvent {
-					ev := e.Label.Ev
+				label := g.Label(e.Label)
+				ct := cachedTrans{label: label, id: ids.ID(e.Label), to: e.To, peer: -1, msg: -1}
+				if label.Kind == lts.LEvent {
+					ev := label.Ev
 					if ev.Kind == lotos.EvSend || ev.Kind == lotos.EvRecv {
 						pi, ok := sys.placeIdx[ev.Place]
 						if !ok {

@@ -86,17 +86,13 @@ func graphFingerprint(g *lts.Graph) string {
 		putStr(key)
 		putInt(g.Depth[s])
 		putInt(g.ObsDepth[s])
-		putInt(len(g.Edges[s]))
-		for _, e := range g.Edges[s] {
-			putStr(e.Label.Key())
-			putInt(e.To)
+		putInt(len(g.Out(s)))
+		for _, e := range g.Out(s) {
+			putStr(g.Label(e.Label).Key())
+			putInt(int(e.To))
 		}
 	}
-	frontier := make([]int, 0, len(g.Frontier))
-	for s := range g.Frontier {
-		frontier = append(frontier, s)
-	}
-	sort.Ints(frontier)
+	frontier := g.FrontierStates()
 	putInt(len(frontier))
 	for _, s := range frontier {
 		putInt(s)
@@ -130,7 +126,7 @@ func renderFingerprints(t *testing.T) string {
 			}
 			ri := sys.ReductionInfo()
 			fmt.Fprintf(&b, "%s %s states=%d transitions=%d frontier=%d orbits=%d ample=%d graph=%s\n",
-				cell.name, ex.name, g.NumStates(), g.NumTransitions(), len(g.Frontier),
+				cell.name, ex.name, g.NumStates(), g.NumTransitions(), len(g.FrontierStates()),
 				ri.OrbitsCollapsed, ri.AmpleHits, graphFingerprint(g))
 		}
 	}
@@ -181,7 +177,7 @@ func renderServiceFingerprints(t *testing.T) string {
 				t.Fatalf("%s/%s: %v", name, bound.name, err)
 			}
 			fmt.Fprintf(&b, "%s/%s states=%d transitions=%d frontier=%d graph=%s\n",
-				name, bound.name, g.NumStates(), g.NumTransitions(), len(g.Frontier), graphFingerprint(g))
+				name, bound.name, g.NumStates(), g.NumTransitions(), len(g.FrontierStates()), graphFingerprint(g))
 		}
 	}
 	return b.String()

@@ -24,12 +24,13 @@ func testSystem() *System {
 // gstateWith builds a two-place global state with the given queue on the
 // channel 1->2 (slot 0*2+1 = 1).
 func gstateWith(queue ...int32) gstate {
-	return gstate{0, 0}.withQueue(2, 1, queue)
+	return gstate{0, 0}.withQueue(nil, 2, 1, queue)
 }
 
 // binaryKey keys a state of sys with fresh scratch memory.
 func binaryKey(sys *System, g gstate) string {
-	return sys.binaryKeyLocked(g, new(scratch))
+	k := sys.binaryKeyLocked(g, new(scratch))
+	return string(k[:])
 }
 
 // TestKeyEncodingCollisions pins the fix for the historical key/message
@@ -75,7 +76,7 @@ func TestKeySlotAndLengthFraming(t *testing.T) {
 	tagA := sys.msgIDLocked(message{Tag: "a"})
 
 	onSlot1 := gstateWith(tagA)
-	onSlot2 := gstateWith().withQueue(2, 2, []int32{tagA}) // channel 2->1
+	onSlot2 := gstateWith().withQueue(nil, 2, 2, []int32{tagA}) // channel 2->1
 	if binaryKey(sys, onSlot1) == binaryKey(sys, onSlot2) {
 		t.Error("binary key ignores channel slot")
 	}
@@ -87,7 +88,7 @@ func TestKeySlotAndLengthFraming(t *testing.T) {
 
 	// Same multiset of messages split differently across two slots.
 	split1 := gstateWith(tagA, tagA)
-	split2 := gstateWith(tagA).withQueue(2, 2, []int32{tagA})
+	split2 := gstateWith(tagA).withQueue(nil, 2, 2, []int32{tagA})
 	if binaryKey(sys, split1) == binaryKey(sys, split2) {
 		t.Error("binary key ignores how messages distribute over channels")
 	}
@@ -118,10 +119,10 @@ func TestBinaryKeyContentDerived(t *testing.T) {
 func TestPackedStateLayout(t *testing.T) {
 	const n = 3
 	g := gstate{7, 8, 9}
-	g1 := g.withQueue(n, 5, []int32{1, 2})
-	g2 := g1.withQueue(n, 2, []int32{3})
-	g3 := g2.withQueue(n, 5, []int32{4})
-	g4 := g3.withQueue(n, 2, nil)
+	g1 := g.withQueue(nil, n, 5, []int32{1, 2})
+	g2 := g1.withQueue(nil, n, 2, []int32{3})
+	g3 := g2.withQueue(nil, n, 5, []int32{4})
+	g4 := g3.withQueue(nil, n, 2, nil)
 	for _, c := range []struct {
 		got, want gstate
 	}{
@@ -130,7 +131,7 @@ func TestPackedStateLayout(t *testing.T) {
 		{g2, gstate{7, 8, 9, 2, 1, 3, 5, 2, 1, 2}},
 		{g3, gstate{7, 8, 9, 2, 1, 3, 5, 1, 4}},
 		{g4, gstate{7, 8, 9, 5, 1, 4}},
-		{g4.withLocal(1, 0), gstate{7, 0, 9, 5, 1, 4}},
+		{g4.withLocal(nil, 1, 0), gstate{7, 0, 9, 5, 1, 4}},
 	} {
 		if !slices.Equal(c.got, c.want) {
 			t.Errorf("packed state %v, want %v", c.got, c.want)
@@ -144,7 +145,7 @@ func TestPackedStateLayout(t *testing.T) {
 	}
 	// A queue aliasing the source state (a receive's rest) is copied.
 	rest, _ := consumeIDs(g1.queue(n, 5), 1, false)
-	if g5 := g1.withQueue(n, 5, rest); !slices.Equal(g5, gstate{7, 8, 9, 5, 1, 2}) {
+	if g5 := g1.withQueue(nil, n, 5, rest); !slices.Equal(g5, gstate{7, 8, 9, 5, 1, 2}) {
 		t.Errorf("aliased queue write gave %v", g5)
 	}
 }
@@ -171,8 +172,8 @@ func TestCanonKeyRankBeyondOneByte(t *testing.T) {
 		msgSum:  [][16]byte{{}, {}},
 		msgMeta: []msgMeta{{col: 1, norm: norm}, {col: 257, norm: norm}},
 	}
-	onCol1 := gstate{0}.withQueue(1, 0, []int32{0})
-	onCol257 := gstate{0}.withQueue(1, 0, []int32{1})
+	onCol1 := gstate{0}.withQueue(nil, 1, 0, []int32{0})
+	onCol257 := gstate{0}.withQueue(nil, 1, 0, []int32{1})
 	k1, ok1 := sys.canonKeyLocked(onCol1, new(scratch))
 	k257, ok257 := sys.canonKeyLocked(onCol257, new(scratch))
 	if !ok1 || !ok257 {

@@ -539,14 +539,14 @@ func (sym *symmetry) classify(m message, plain [16]byte) msgMeta {
 // are invariant under column permutation, so mixing canonical and identity
 // keys within one exploration cannot merge or split an orbit incorrectly.
 // All working memory is the caller's scratch. Caller holds s.mu (read).
-func (s *System) canonKeyLocked(g gstate, sc *scratch) (string, bool) {
+func (s *System) canonKeyLocked(g gstate, sc *scratch) ([16]byte, bool) {
 	k := s.sym.k
 	n := len(s.Places)
 	// cols gives the column digests of place idx's local state.
 	cols := func(idx int) [][16]byte { return s.local[idx][g[idx]].symCols }
 	for idx := range n {
 		if cols(idx) == nil {
-			return "", false
+			return [16]byte{}, false
 		}
 	}
 	// Per-column signatures: local digests at every place, then the queue
@@ -569,7 +569,7 @@ func (s *System) canonKeyLocked(g gstate, sc *scratch) (string, bool) {
 			meta := &s.msgMeta[mid]
 			switch meta.col {
 			case msgColPoison:
-				return "", false
+				return [16]byte{}, false
 			case msgColShared:
 			default:
 				sig := sigs[meta.col]
@@ -637,6 +637,5 @@ func (s *System) canonKeyLocked(g gstate, sc *scratch) (string, bool) {
 		}
 	}
 	sc.buf = buf
-	sum := digest16(buf)
-	return string(sum[:]), true
+	return digest16(buf), true
 }

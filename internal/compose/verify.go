@@ -212,11 +212,14 @@ func verifyMonolithic(service *lotos.Spec, entities map[int]*lotos.Spec, opts Ve
 	}
 	lim := lts.Limits{MaxStates: opts.MaxStates, MaxObsDepth: opts.ObsDepth}
 
-	sg, err := lts.ExploreSpec(service, lim)
+	// The service and the product share one label table, so both graphs
+	// speak the same label ids.
+	labels := lts.NewLabelTable()
+	sg, err := lts.ExploreSpecWith(service, labels, lim)
 	if err != nil {
 		return nil, fmt.Errorf("compose: exploring service: %w", err)
 	}
-	sys, err := New(entities, Config{
+	sys, err := newSystem(entities, Config{
 		ChannelCap:  opts.ChannelCap,
 		Limits:      lim,
 		Workers:     opts.Workers,
@@ -224,7 +227,7 @@ func verifyMonolithic(service *lotos.Spec, entities map[int]*lotos.Spec, opts Ve
 		Reductions:  opts.Reductions,
 		SpillBudget: opts.SpillBudget,
 		SpillDir:    opts.SpillDir,
-	})
+	}, labels)
 	if err != nil {
 		return nil, err
 	}
@@ -354,11 +357,12 @@ func verifyCompositional(service *lotos.Spec, entities map[int]*lotos.Spec, opts
 	lim := lts.Limits{MaxStates: opts.MaxStates, MaxObsDepth: opts.ObsDepth}
 	// Explore the service on a clone: exploration resolves and numbers the
 	// tree in place, and the monolithic fallback needs the original.
-	sg, err := lts.ExploreSpec(lotos.CloneSpec(service), lim)
+	labels := lts.NewLabelTable()
+	sg, err := lts.ExploreSpecWith(lotos.CloneSpec(service), labels, lim)
 	if err != nil {
 		return nil, fmt.Errorf("compose: exploring service: %w", err)
 	}
-	sys, err := NewCompositional(entities, ltss, Config{
+	sys, err := newCompositional(entities, ltss, Config{
 		ChannelCap:  opts.ChannelCap,
 		Limits:      lim,
 		Workers:     opts.Workers,
@@ -366,7 +370,7 @@ func verifyCompositional(service *lotos.Spec, entities map[int]*lotos.Spec, opts
 		Reductions:  opts.Reductions,
 		SpillBudget: opts.SpillBudget,
 		SpillDir:    opts.SpillDir,
-	})
+	}, labels)
 	if err != nil {
 		return nil, err
 	}

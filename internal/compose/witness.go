@@ -2,6 +2,7 @@ package compose
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/equiv"
@@ -109,25 +110,27 @@ func (w *Witness) Summary() string {
 func (s *System) replayPath(g *lts.Graph, path []lts.PathStep) ([]WitnessStep, gstate, error) {
 	cur := s.rootState()
 	out := make([]WitnessStep, 0, len(path))
+	var trans lts.Successors
 	for pi, ps := range path {
-		trans, steps, err := s.derive(cur, true)
+		trans.Reset()
+		steps, err := s.derive(cur, &trans, true)
 		if err != nil {
 			return nil, nil, err
 		}
-		wantKey := g.Keys[ps.Edge.To]
-		wantLabel := ps.Edge.Label.Key()
+		wantKey := g.Keys[ps.To]
+		wantLabel := ps.Label.Key()
 		found := -1
-		for i, t := range trans {
-			if t.Key == wantKey && t.Label.Key() == wantLabel {
+		for i := 0; i < trans.Len(); i++ {
+			if string(trans.Key(i)) == wantKey && s.labels.Key(trans.Label(i)) == wantLabel {
 				found = i
 				break
 			}
 		}
 		if found < 0 {
-			return nil, nil, fmt.Errorf("compose: witness path step %d: no derived transition matches edge %q", pi, ps.Edge.Label)
+			return nil, nil, fmt.Errorf("compose: witness path step %d: no derived transition matches edge %q", pi, ps.Label)
 		}
 		out = append(out, steps[found])
-		cur = trans[found].To.(gstate)
+		cur = slices.Clone(trans.State(found).Words)
 	}
 	return out, cur, nil
 }

@@ -5,9 +5,9 @@ package equiv
 // string signatures for every state on every refinement round; this engine
 // replaces both hot paths:
 //
-//   - Labels are interned into dense lts.LabelID integers through one
-//     lts.LabelTable shared by both graphs, and edges are walked through a
-//     CSR (offset/label/target array) export instead of []Edge slices.
+//   - Both graphs' labels are translated into one lts.LabelTable of the
+//     engine's, and their edges are flattened into one CSR (offset/label/
+//     target array) over the combined state numbering.
 //
 //   - The per-state ε-closure is replaced by one Tarjan condensation of the
 //     τ-subgraph. All states of one τ-SCC have the same ε-closure, hence
@@ -91,35 +91,10 @@ func newWeakEngine(g1, g2 *lts.Graph) *weakEngine {
 	epsID := e.table.InternKey(epsKey)
 
 	// Combined CSR with a shared label-id space.
-	c1 := g1.ExportCSR(e.table)
-	n1, n2 := c1.NumStates, 0
-	var c2 *lts.CSR
-	if g2 != nil {
-		c2 = g2.ExportCSR(e.table)
-		n2 = c2.NumStates
-	}
-	n := n1 + n2
+	off, labs, to := flatten(e.table, g1, g2)
+	n := len(off) - 1
+	m := len(to)
 	e.n = n
-	m := len(c1.To)
-	if c2 != nil {
-		m += len(c2.To)
-	}
-	off := make([]int32, n+1)
-	labs := make([]lts.LabelID, m)
-	to := make([]int32, m)
-	copy(off, c1.Off)
-	copy(labs, c1.Labels)
-	copy(to, c1.To)
-	if c2 != nil {
-		base := int32(len(c1.To))
-		for s := 0; s <= n2; s++ {
-			off[n1+s] = base + c2.Off[s]
-		}
-		copy(labs[base:], c2.Labels)
-		for i, t := range c2.To {
-			to[int(base)+i] = t + int32(n1)
-		}
-	}
 	isTau := make([]bool, e.table.Len())
 	for id := range isTau {
 		isTau[id] = !e.table.Observable(lts.LabelID(id))
@@ -236,6 +211,37 @@ func newWeakEngine(g1, g2 *lts.Graph) *weakEngine {
 	e.stats.Blocks = e.blocks
 	e.stats.RefineNanos = time.Since(t1).Nanoseconds()
 	return e
+}
+
+// flatten lays the edges of the given graphs (nil ones skipped) out as one
+// CSR over their disjoint union, each graph's states numbered after the
+// previous graph's, translating labels into table in first-use order.
+func flatten(table *lts.LabelTable, graphs ...*lts.Graph) (off []int32, labs []lts.LabelID, to []int32) {
+	n, m := 0, 0
+	for _, g := range graphs {
+		if g != nil {
+			n += g.NumStates()
+			m += g.NumTransitions()
+		}
+	}
+	off = make([]int32, 1, n+1)
+	labs = make([]lts.LabelID, 0, m)
+	to = make([]int32, 0, m)
+	for _, g := range graphs {
+		if g == nil {
+			continue
+		}
+		ids := lts.NewLabelMap(g.Table, table)
+		base := int32(len(off) - 1)
+		for s := 0; s < g.NumStates(); s++ {
+			for _, e := range g.Out(s) {
+				labs = append(labs, ids.ID(e.Label))
+				to = append(to, base+e.To)
+			}
+			off = append(off, int32(len(to)))
+		}
+	}
+	return off, labs, to
 }
 
 // packPair packs a label id and a target index into one uint64 signature

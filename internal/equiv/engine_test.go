@@ -15,14 +15,9 @@ func TestQuotientEmptyKeyState(t *testing.T) {
 	// Hand-built two-state graph: 0 --a--> 1, both keys empty, distinct
 	// classes (state 1 is terminal).
 	ev := lotos.ServiceEvent("a", 1)
-	g := &lts.Graph{
-		States:   make([]lotos.Expr, 2),
-		Keys:     []string{"", ""},
-		Edges:    [][]lts.Edge{{{Label: lts.EventLabel(ev), To: 1}}, nil},
-		Depth:    []int{0, 1},
-		ObsDepth: []int{0, 1},
-		Frontier: map[int]bool{},
-	}
+	g := wGraph(2, map[int][]lEdge{0: {{Label: lts.EventLabel(ev), To: 1}}})
+	g.Depth = []int{0, 1}
+	g.ObsDepth = []int{0, 1}
 	q := QuotientWeak(g)
 	if q.NumStates() != 2 {
 		t.Fatalf("quotient states = %d, want 2", q.NumStates())
@@ -30,8 +25,8 @@ func TestQuotientEmptyKeyState(t *testing.T) {
 	if q.Keys[0] != "" || q.Keys[1] != "" {
 		t.Fatalf("quotient keys = %q", q.Keys)
 	}
-	if len(q.Edges[0]) != 1 || q.Edges[0][0].To != 1 {
-		t.Fatalf("quotient edges = %v", q.Edges)
+	if len(q.Out(0)) != 1 || q.Out(0)[0].To != 1 {
+		t.Fatalf("quotient edges of state 0 = %v", q.Out(0))
 	}
 	if !WeakBisimilar(g, q) {
 		t.Fatal("quotient not bisimilar to original")
@@ -45,18 +40,13 @@ func TestTauCycleCollapsesToOneClass(t *testing.T) {
 	// one class, and the cycle is weakly bisimilar to stop (no observable
 	// behaviour, no termination).
 	tau := lts.Internal()
-	g := &lts.Graph{
-		States: make([]lotos.Expr, 3),
-		Keys:   []string{"s0", "s1", "s2"},
-		Edges: [][]lts.Edge{
-			{{Label: tau, To: 1}},
-			{{Label: tau, To: 2}},
-			{{Label: tau, To: 0}},
-		},
-		Depth:    []int{0, 1, 2},
-		ObsDepth: []int{0, 0, 0},
-		Frontier: map[int]bool{},
-	}
+	g := wGraph(3, map[int][]lEdge{
+		0: {{Label: tau, To: 1}},
+		1: {{Label: tau, To: 2}},
+		2: {{Label: tau, To: 0}},
+	})
+	g.Keys = []string{"s0", "s1", "s2"}
+	g.Depth = []int{0, 1, 2}
 	if n := NumClassesWeak(g); n != 1 {
 		t.Fatalf("τ-cycle classes = %d, want 1", n)
 	}

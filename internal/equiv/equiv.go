@@ -58,23 +58,23 @@ func ObservationCongruent(g1, g2 *lts.Graph) bool {
 // the engine's τ-SCC condensation.
 func (e *weakEngine) rootMatched(a *lts.Graph, aOff int, b *lts.Graph, bOff int) bool {
 	var bBlocks map[int32]struct{}
-	for _, ed := range a.Edges[0] {
-		if ed.Label.Kind != lts.LInternal {
+	for _, ed := range a.Out(0) {
+		if a.Table.Kind(ed.Label) != lts.LInternal {
 			continue
 		}
 		if bBlocks == nil {
 			// Classes reachable from b's root by one i step then i*.
 			bBlocks = map[int32]struct{}{}
-			for _, be := range b.Edges[0] {
-				if be.Label.Kind != lts.LInternal {
+			for _, be := range b.Out(0) {
+				if b.Table.Kind(be.Label) != lts.LInternal {
 					continue
 				}
-				for _, d := range e.reach[e.sccOf[bOff+be.To]] {
+				for _, d := range e.reach[e.sccOf[bOff+int(be.To)]] {
 					bBlocks[e.block[d]] = struct{}{}
 				}
 			}
 		}
-		if _, ok := bBlocks[e.stateBlock(aOff+ed.To)]; !ok {
+		if _, ok := bBlocks[e.stateBlock(aOff+int(ed.To))]; !ok {
 			return false
 		}
 	}
@@ -86,27 +86,18 @@ func (e *weakEngine) rootMatched(a *lts.Graph, aOff int, b *lts.Graph, bOff int)
 // runs the hashed refinement directly over the combined state-level CSR —
 // no saturation and no τ-condensation, since i is not absorbed.
 func StrongBisimilar(g1, g2 *lts.Graph) bool {
-	table := lts.NewLabelTable()
-	c1 := g1.ExportCSR(table)
-	c2 := g2.ExportCSR(table)
-	n1, n2 := c1.NumStates, c2.NumStates
-	n := n1 + n2
+	off32, labs, to := flatten(lts.NewLabelTable(), g1, g2)
+	n := len(off32) - 1
 	off := make([]int, n+1)
-	pairs := make([]uint64, 0, len(c1.To)+len(c2.To))
-	for s := 0; s < n1; s++ {
-		for i := c1.Off[s]; i < c1.Off[s+1]; i++ {
-			pairs = append(pairs, packPair(c1.Labels[i], c1.To[i]))
-		}
-		off[s+1] = len(pairs)
+	pairs := make([]uint64, len(to))
+	for s := 0; s < n; s++ {
+		off[s+1] = int(off32[s+1])
 	}
-	for s := 0; s < n2; s++ {
-		for i := c2.Off[s]; i < c2.Off[s+1]; i++ {
-			pairs = append(pairs, packPair(c2.Labels[i], c2.To[i]+int32(n1)))
-		}
-		off[n1+s+1] = len(pairs)
+	for i := range to {
+		pairs[i] = packPair(labs[i], to[i])
 	}
 	block, _, _ := refinePacked(n, off, pairs, 0)
-	return block[0] == block[n1]
+	return block[0] == block[g1.NumStates()]
 }
 
 // WeakTraceEquivalent reports whether g1 and g2 have the same weak traces up

@@ -32,6 +32,21 @@ type refSaturated struct {
 	weak []map[string][]int
 }
 
+// refEdge is an edge with its label spelled out.
+type refEdge struct {
+	Label lts.Label
+	To    int
+}
+
+// edges returns state s's edges with their labels spelled out.
+func edges(g *lts.Graph, s int) []refEdge {
+	out := make([]refEdge, 0, len(g.Out(s)))
+	for _, e := range g.Out(s) {
+		out = append(out, refEdge{g.Label(e.Label), int(e.To)})
+	}
+	return out
+}
+
 // refSaturate computes the weak transition relation of g.
 func refSaturate(g *lts.Graph) *refSaturated {
 	n := g.NumStates()
@@ -46,7 +61,7 @@ func refSaturate(g *lts.Graph) *refSaturated {
 		// i* a i*: from every state in closure(s), take an observable edge,
 		// then close again.
 		for _, mid := range closure[s] {
-			for _, e := range g.Edges[mid] {
+			for _, e := range edges(g, mid) {
 				if !e.Label.Observable() {
 					continue
 				}
@@ -68,7 +83,7 @@ func epsClosure(g *lts.Graph, s int) []int {
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range g.Edges[cur] {
+		for _, e := range edges(g, cur) {
 			if e.Label.Kind == lts.LInternal && !visited[e.To] {
 				visited[e.To] = true
 				stack = append(stack, e.To)
@@ -102,8 +117,8 @@ func dedup(xs []int) []int {
 func WeakTraces(g *lts.Graph, maxLen int) []string {
 	sat := refSaturate(g)
 	names := map[string]string{} // label key -> rendering
-	for _, es := range g.Edges {
-		for _, e := range es {
+	for s := 0; s < g.NumStates(); s++ {
+		for _, e := range edges(g, s) {
 			names[e.Label.Key()] = e.Label.String()
 		}
 	}
@@ -298,13 +313,13 @@ func refRootCondition(a, b *lts.Graph, p *refPartition, off int, swapped bool) b
 	}
 	// Strict weak internal successors of b's root: one i step then i*.
 	var bTargets []int
-	for _, e := range b.Edges[0] {
+	for _, e := range edges(b, 0) {
 		if e.Label.Kind == lts.LInternal {
 			bTargets = append(bTargets, epsClosure(b, e.To)...)
 		}
 	}
 	bTargets = dedup(bTargets)
-	for _, e := range a.Edges[0] {
+	for _, e := range edges(a, 0) {
 		if e.Label.Kind != lts.LInternal {
 			continue
 		}
@@ -336,7 +351,7 @@ func StrongBisimilar(g1, g2 *lts.Graph) bool {
 			s -= n1
 		}
 		m := map[string][]int{}
-		for _, e := range g.Edges[s] {
+		for _, e := range edges(g, s) {
 			key := e.Label.Key()
 			m[key] = append(m[key], e.To+off)
 		}

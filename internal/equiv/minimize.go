@@ -25,25 +25,21 @@ func QuotientWeak(g *lts.Graph) *lts.Graph {
 // exact execution tables to the minimized canonical tables.
 func QuotientWeakMap(g *lts.Graph) (*lts.Graph, []int32) {
 	e := newWeakEngine(g, nil)
-	return buildQuotient(g, func(s int) int32 { return e.stateBlock(s) }, e.table)
+	return buildQuotient(g, func(s int) int32 { return e.stateBlock(s) })
 }
 
 // QuotientByBlocks builds the class graph of any per-state block
 // assignment, as QuotientWeak does for weak bisimilarity: blockOf(s) names
 // state s's class, and states sharing a block become one quotient state.
 func QuotientByBlocks(g *lts.Graph, blockOf func(int) int32) *lts.Graph {
-	q, _ := buildQuotient(g, blockOf, nil)
+	q, _ := buildQuotient(g, blockOf)
 	return q
 }
 
 // buildQuotient constructs the class graph from a per-state block
 // assignment, returning it with the renumbered per-state class map. The
-// label table (fresh when nil) interns labels for the per-class (label,
-// target) edge dedup.
-func buildQuotient(g *lts.Graph, blockOf func(int) int32, table *lts.LabelTable) (*lts.Graph, []int32) {
-	if table == nil {
-		table = lts.NewLabelTable()
-	}
+// quotient shares g's label table.
+func buildQuotient(g *lts.Graph, blockOf func(int) int32) (*lts.Graph, []int32) {
 	// Renumber blocks so the initial state's block is 0, then by first
 	// appearance.
 	blockIndex := map[int32]int{}
@@ -63,13 +59,9 @@ func buildQuotient(g *lts.Graph, blockOf func(int) int32, table *lts.LabelTable)
 	}
 
 	n := count
-	q := &lts.Graph{
-		States:   make([]lotos.Expr, n),
-		Keys:     make([]string, n),
-		Edges:    make([][]lts.Edge, n),
-		Depth:    make([]int, n),
-		ObsDepth: make([]int, n),
-		Frontier: map[int]bool{},
+	q := lts.NewGraph(n, g.Table)
+	if g.States != nil {
+		q.States = make([]lotos.Expr, n)
 	}
 
 	// assigned tracks which classes have adopted a representative state.
@@ -87,36 +79,36 @@ func buildQuotient(g *lts.Graph, blockOf func(int) int32, table *lts.LabelTable)
 		}
 	}
 
-	seen := make([]map[uint64]bool, n)
+	// Each class's row collects one edge per distinct (label, target class)
+	// pair of its members, in member order.
+	rows := make([][]lts.Edge, n)
+	seen := make([]map[lts.Edge]bool, n)
 	for i := range seen {
-		seen[i] = map[uint64]bool{}
+		seen[i] = map[lts.Edge]bool{}
 	}
-	for s, es := range g.Edges {
+	classOf := make([]int32, g.NumStates())
+	for s := 0; s < g.NumStates(); s++ {
 		from := blockIndex[blockOf(s)]
+		classOf[s] = int32(from)
 		adopt(from, s)
-		for _, e := range es {
-			to := blockIndex[blockOf(e.To)]
-			if e.Label.Kind == lts.LInternal && to == from {
+		for _, e := range g.Out(s) {
+			to := int32(blockIndex[blockOf(int(e.To))])
+			if g.Table.Kind(e.Label) == lts.LInternal && int(to) == from {
 				continue // internal move within one class: collapsed
 			}
-			key := packPair(table.Intern(e.Label), int32(to))
-			if seen[from][key] {
+			qe := lts.Edge{Label: e.Label, To: to}
+			if seen[from][qe] {
 				continue
 			}
-			seen[from][key] = true
-			q.Edges[from] = append(q.Edges[from], lts.Edge{Label: e.Label, To: to})
+			seen[from][qe] = true
+			rows[from] = append(rows[from], qe)
 		}
-		if g.Frontier[s] {
-			q.Frontier[from] = true
+		if g.Frontier(s) {
+			q.SetFrontier(from, true)
 		}
 	}
-	// Classes containing only terminal states have no edge row above; give
-	// them a representative too.
-	classOf := make([]int32, g.NumStates())
-	for s := range g.Keys {
-		c := blockIndex[blockOf(s)]
-		adopt(c, s)
-		classOf[s] = int32(c)
+	for c, row := range rows {
+		q.SetOut(c, row...)
 	}
 	q.Truncated = g.Truncated
 	return q, classOf

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/equiv"
 	"repro/internal/equiv/equivref"
-	"repro/internal/lotos"
 	"repro/internal/lts"
 )
 
@@ -135,17 +134,10 @@ func TestReferenceQuotientMatchesEngineQuotient(t *testing.T) {
 // TestTauCycleCollapsesToOneClass) the reference also finds one class.
 func TestReferenceAgreesOnTauCycle(t *testing.T) {
 	tau := lts.Internal()
-	g := &lts.Graph{
-		States: make([]lotos.Expr, 3),
-		Keys:   []string{"s0", "s1", "s2"},
-		Edges: [][]lts.Edge{
-			{{Label: tau, To: 1}},
-			{{Label: tau, To: 2}},
-			{{Label: tau, To: 0}},
-		},
-		Depth:    []int{0, 1, 2},
-		ObsDepth: []int{0, 0, 0},
-		Frontier: map[int]bool{},
+	g := lts.NewGraph(3, nil)
+	tauID := g.Table.Intern(tau)
+	for s := int32(0); s < 3; s++ {
+		g.SetOut(int(s), lts.Edge{Label: tauID, To: (s + 1) % 3})
 	}
 	if n := equivref.NumClassesWeak(g); n != 1 {
 		t.Fatalf("reference τ-cycle classes = %d, want 1", n)

@@ -63,25 +63,25 @@ func DivergentPath(subject, reference *lts.Graph, maxObs int) ([]lts.PathStep, b
 
 	for head := 0; head < len(nodes); head++ {
 		cur := nodes[head]
-		for _, e := range subject.Edges[cur.state] {
-			if !e.Label.Observable() {
+		for _, e := range subject.Out(cur.state) {
+			if !subject.Table.Observable(e.Label) {
 				// Internal subject move: the reference node is unchanged.
-				push(witnessNode{state: e.To, ref: cur.ref, obs: cur.obs, parent: head, edge: e})
+				push(witnessNode{state: int(e.To), ref: cur.ref, obs: cur.obs, parent: head, edge: e})
 				continue
 			}
 			if maxObs > 0 && cur.obs >= maxObs {
 				continue // beyond the sound comparison bound
 			}
 			// Determinized reference step under the same observable label.
-			next := ref.Next(cur.ref, e.Label.String())
+			next := ref.Next(cur.ref, subject.Table.Name(e.Label))
 			if next < 0 {
 				if ref.Frontier(cur.ref) {
 					continue // unknown successors: cannot judge soundly
 				}
 				// Divergence: the reference cannot match this observable.
-				return append(unwindNodes(nodes, head), lts.PathStep{From: cur.state, Edge: e}), true
+				return append(unwindNodes(subject, nodes, head), subject.Step(cur.state, e)), true
 			}
-			push(witnessNode{state: e.To, ref: next, obs: cur.obs + 1, parent: head, edge: e})
+			push(witnessNode{state: int(e.To), ref: next, obs: cur.obs + 1, parent: head, edge: e})
 		}
 	}
 	return nil, false
@@ -111,21 +111,21 @@ func TracePrefixPath(subject *lts.Graph, trace []string) ([]lts.PathStep, int) {
 				break
 			}
 		}
-		for _, e := range subject.Edges[cur.state] {
+		for _, e := range subject.Out(cur.state) {
 			pos := cur.obs
-			if e.Label.Observable() {
-				if pos >= len(trace) || e.Label.String() != trace[pos] {
+			if subject.Table.Observable(e.Label) {
+				if pos >= len(trace) || subject.Table.Name(e.Label) != trace[pos] {
 					continue
 				}
 				pos++
 			}
-			if !visited[[2]int{e.To, pos}] {
-				visited[[2]int{e.To, pos}] = true
-				nodes = append(nodes, witnessNode{state: e.To, obs: pos, parent: head, edge: e})
+			if to := int(e.To); !visited[[2]int{to, pos}] {
+				visited[[2]int{to, pos}] = true
+				nodes = append(nodes, witnessNode{state: to, obs: pos, parent: head, edge: e})
 			}
 		}
 	}
-	return unwindNodes(nodes, best), nodes[best].obs
+	return unwindNodes(subject, nodes, best), nodes[best].obs
 }
 
 // ShortestDivergentTrace returns the observable projection of
@@ -139,11 +139,12 @@ func ShortestDivergentTrace(subject, reference *lts.Graph, maxObs int) ([]string
 	return lts.ObservableTrace(path), true
 }
 
-// unwindNodes reconstructs the path from the root to nodes[head].
-func unwindNodes(nodes []witnessNode, head int) []lts.PathStep {
+// unwindNodes reconstructs the path of subject from the root to
+// nodes[head].
+func unwindNodes(subject *lts.Graph, nodes []witnessNode, head int) []lts.PathStep {
 	var rev []lts.PathStep
 	for at := head; nodes[at].parent >= 0; at = nodes[at].parent {
-		rev = append(rev, lts.PathStep{From: nodes[nodes[at].parent].state, Edge: nodes[at].edge})
+		rev = append(rev, subject.Step(nodes[nodes[at].parent].state, nodes[at].edge))
 	}
 	slices.Reverse(rev)
 	return rev

@@ -7,17 +7,34 @@ import (
 	"repro/internal/lts"
 )
 
-// wGraph builds a bare graph with n states and the given edges.
-func wGraph(n int, edges map[int][]lts.Edge) *lts.Graph {
-	g := &lts.Graph{
-		States: make([]lotos.Expr, n),
-		Keys:   make([]string, n),
-		Edges:  make([][]lts.Edge, n),
-	}
-	for s, es := range edges {
-		g.Edges[s] = es
+// lEdge is an edge with its label spelled out, for building and reading
+// graphs in tests.
+type lEdge struct {
+	Label lts.Label
+	To    int
+}
+
+// wGraph builds a bare graph with n states and the given edges, interning
+// labels in state order.
+func wGraph(n int, edges map[int][]lEdge) *lts.Graph {
+	g := lts.NewGraph(n, nil)
+	for s := 0; s < n; s++ {
+		var out []lts.Edge
+		for _, e := range edges[s] {
+			out = append(out, lts.Edge{Label: g.Table.Intern(e.Label), To: int32(e.To)})
+		}
+		g.SetOut(s, out...)
 	}
 	return g
+}
+
+// lEdges returns state s's edges with their labels spelled out.
+func lEdges(g *lts.Graph, s int) []lEdge {
+	var out []lEdge
+	for _, e := range g.Out(s) {
+		out = append(out, lEdge{g.Label(e.Label), int(e.To)})
+	}
+	return out
 }
 
 func wev(name string) lts.Label { return lts.EventLabel(lotos.ServiceEvent(name, 1)) }
@@ -32,7 +49,7 @@ func hasWeakTrace(g *lts.Graph, trace []string) bool {
 			return
 		}
 		set[s] = true
-		for _, e := range g.Edges[s] {
+		for _, e := range lEdges(g, s) {
 			if !e.Label.Observable() {
 				grow(e.To)
 			}
@@ -42,7 +59,7 @@ func hasWeakTrace(g *lts.Graph, trace []string) bool {
 	for _, lab := range trace {
 		next := map[int]bool{}
 		for s := range set {
-			for _, e := range g.Edges[s] {
+			for _, e := range lEdges(g, s) {
 				if e.Label.Observable() && e.Label.String() == lab {
 					next[e.To] = true
 				}
@@ -71,7 +88,7 @@ func naiveShortestDivergent(subject, reference *lts.Graph, bound int) int {
 	for depth := 1; depth <= bound; depth++ {
 		var next []node
 		for _, cur := range frontier {
-			for _, e := range subject.Edges[cur.state] {
+			for _, e := range lEdges(subject, cur.state) {
 				tr := cur.trace
 				if e.Label.Observable() {
 					tr = append(append([]string(nil), cur.trace...), e.Label.String())
@@ -89,11 +106,11 @@ func naiveShortestDivergent(subject, reference *lts.Graph, bound int) int {
 
 func TestDivergentPathFindsExtraObservable(t *testing.T) {
 	// Subject: a then b. Reference: a only.
-	subject := wGraph(3, map[int][]lts.Edge{
+	subject := wGraph(3, map[int][]lEdge{
 		0: {{Label: wev("a"), To: 1}},
 		1: {{Label: wev("b"), To: 2}},
 	})
-	reference := wGraph(2, map[int][]lts.Edge{
+	reference := wGraph(2, map[int][]lEdge{
 		0: {{Label: wev("a"), To: 1}},
 	})
 	path, ok := DivergentPath(subject, reference, 0)
@@ -115,7 +132,7 @@ func TestDivergentPathFindsExtraObservable(t *testing.T) {
 
 func TestDivergentPathNoDivergenceOnEqualGraphs(t *testing.T) {
 	mk := func() *lts.Graph {
-		return wGraph(3, map[int][]lts.Edge{
+		return wGraph(3, map[int][]lEdge{
 			0: {{Label: wev("a"), To: 1}, {Label: lts.Internal(), To: 0}},
 			1: {{Label: wev("b"), To: 2}},
 		})
@@ -131,10 +148,10 @@ func TestDivergentPathNoDivergenceOnEqualGraphs(t *testing.T) {
 func TestDivergentPathSeesThroughTau(t *testing.T) {
 	// The reference reaches its 'a' only after a τ step: weak matching must
 	// credit it, so the only divergence is the subject's 'b'.
-	subject := wGraph(3, map[int][]lts.Edge{
+	subject := wGraph(3, map[int][]lEdge{
 		0: {{Label: wev("a"), To: 1}, {Label: wev("b"), To: 2}},
 	})
-	reference := wGraph(3, map[int][]lts.Edge{
+	reference := wGraph(3, map[int][]lEdge{
 		0: {{Label: lts.Internal(), To: 1}},
 		1: {{Label: wev("a"), To: 2}},
 	})
@@ -150,15 +167,15 @@ func TestDivergentPathSeesThroughTau(t *testing.T) {
 func TestDivergentPathConservativeOnFrontier(t *testing.T) {
 	// The reference was truncated at state 1: its successors are unknown, so
 	// the subject's a-then-b must NOT be reported divergent through it.
-	subject := wGraph(3, map[int][]lts.Edge{
+	subject := wGraph(3, map[int][]lEdge{
 		0: {{Label: wev("a"), To: 1}},
 		1: {{Label: wev("b"), To: 2}},
 	})
-	reference := wGraph(2, map[int][]lts.Edge{
+	reference := wGraph(2, map[int][]lEdge{
 		0: {{Label: wev("a"), To: 1}},
 	})
 	reference.Truncated = true
-	reference.Frontier = map[int]bool{1: true}
+	reference.SetFrontier(1, true)
 	if path, ok := DivergentPath(subject, reference, 0); ok {
 		t.Errorf("reported divergence %v through an unexpanded frontier state", lts.ObservableTrace(path))
 	}
@@ -176,34 +193,34 @@ func TestDivergentPathMinimalityOracle(t *testing.T) {
 		{
 			name: "deep and shallow divergence",
 			// Divergences: c after a (depth 2) and b immediately (depth 1).
-			subject: wGraph(4, map[int][]lts.Edge{
+			subject: wGraph(4, map[int][]lEdge{
 				0: {{Label: wev("a"), To: 1}, {Label: wev("b"), To: 3}},
 				1: {{Label: wev("c"), To: 2}},
 			}),
-			reference: wGraph(2, map[int][]lts.Edge{
+			reference: wGraph(2, map[int][]lEdge{
 				0: {{Label: wev("a"), To: 1}},
 			}),
 		},
 		{
 			name: "tau detour lengthens the path",
 			// The only divergent observable sits behind two internal steps.
-			subject: wGraph(4, map[int][]lts.Edge{
+			subject: wGraph(4, map[int][]lEdge{
 				0: {{Label: lts.Internal(), To: 1}},
 				1: {{Label: lts.Internal(), To: 2}},
 				2: {{Label: wev("b"), To: 3}},
 			}),
-			reference: wGraph(2, map[int][]lts.Edge{
+			reference: wGraph(2, map[int][]lEdge{
 				0: {{Label: wev("a"), To: 1}},
 			}),
 		},
 		{
 			name: "cycle before divergence",
-			subject: wGraph(3, map[int][]lts.Edge{
+			subject: wGraph(3, map[int][]lEdge{
 				0: {{Label: wev("a"), To: 0}, {Label: wev("b"), To: 1}},
 				1: {{Label: wev("b"), To: 2}},
 			}),
 			// Reference loops on a and allows one b.
-			reference: wGraph(2, map[int][]lts.Edge{
+			reference: wGraph(2, map[int][]lEdge{
 				0: {{Label: wev("a"), To: 0}, {Label: wev("b"), To: 1}},
 			}),
 		},
@@ -233,7 +250,7 @@ func TestDivergentPathMinimalityOracle(t *testing.T) {
 }
 
 func TestTracePrefixPathFullAndPartial(t *testing.T) {
-	g := wGraph(4, map[int][]lts.Edge{
+	g := wGraph(4, map[int][]lEdge{
 		0: {{Label: lts.Internal(), To: 1}},
 		1: {{Label: wev("a"), To: 2}},
 		2: {{Label: wev("b"), To: 3}},
@@ -263,10 +280,10 @@ func TestTracePrefixPathFullAndPartial(t *testing.T) {
 }
 
 func TestShortestDivergentTraceProjection(t *testing.T) {
-	subject := wGraph(2, map[int][]lts.Edge{
+	subject := wGraph(2, map[int][]lEdge{
 		0: {{Label: wev("b"), To: 1}},
 	})
-	reference := wGraph(2, map[int][]lts.Edge{
+	reference := wGraph(2, map[int][]lEdge{
 		0: {{Label: wev("a"), To: 1}},
 	})
 	tr, ok := ShortestDivergentTrace(subject, reference, 0)

@@ -120,14 +120,17 @@ func fromGraph(place int, g *lts.Graph, table *lts.LabelTable) *Machine {
 		Flags:    make([]StateFlags, n),
 		OfferOff: make([]int32, n+1),
 	}
+	// The quotient below shares g's label table, so one translation serves
+	// both layers.
+	ids := lts.NewLabelMap(g.Table, table)
 	for s := 0; s < n; s++ {
-		for _, e := range g.Edges[s] {
-			op, ev := Classify(e.Label)
+		for _, e := range g.Out(s) {
+			op, ev := Classify(g.Label(e.Label))
 			edge := int32(len(m.Ops))
 			m.Ops = append(m.Ops, op)
 			m.Events = append(m.Events, ev)
-			m.Labels = append(m.Labels, table.Intern(e.Label))
-			m.To = append(m.To, int32(e.To))
+			m.Labels = append(m.Labels, ids.ID(e.Label))
+			m.To = append(m.To, e.To)
 			m.Flags[s] |= flagFor(op)
 			if op == OpService {
 				m.OfferEvents = append(m.OfferEvents, ev)
@@ -152,20 +155,20 @@ func fromGraph(place int, g *lts.Graph, table *lts.LabelTable) *Machine {
 	m.MinTo = make([]int32, 0, qt)
 	m.MinKeys = append([]string(nil), q.Keys...)
 	for c := 0; c < qn; c++ {
-		row := append([]lts.Edge(nil), q.Edges[c]...)
+		row := append([]lts.Edge(nil), q.Out(c)...)
 		sort.SliceStable(row, func(i, j int) bool {
-			ki, kj := row[i].Label.Key(), row[j].Label.Key()
+			ki, kj := q.Table.Key(row[i].Label), q.Table.Key(row[j].Label)
 			if ki != kj {
 				return ki < kj
 			}
 			return row[i].To < row[j].To
 		})
 		for _, e := range row {
-			op, ev := Classify(e.Label)
+			op, ev := Classify(q.Label(e.Label))
 			m.MinOps = append(m.MinOps, op)
 			m.MinEvents = append(m.MinEvents, ev)
-			m.MinLabels = append(m.MinLabels, table.Intern(e.Label))
-			m.MinTo = append(m.MinTo, int32(e.To))
+			m.MinLabels = append(m.MinLabels, ids.ID(e.Label))
+			m.MinTo = append(m.MinTo, e.To)
 		}
 		m.MinOff[c+1] = int32(len(m.MinTo))
 	}

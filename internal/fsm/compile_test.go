@@ -52,14 +52,15 @@ func TestCompileMatchesExploration(t *testing.T) {
 		// interpreter's.
 		mg := m.Graph()
 		for s := 0; s < g.NumStates(); s++ {
-			if len(mg.Edges[s]) != len(g.Edges[s]) {
-				t.Fatalf("place %d state %d: %d edges vs %d", p, s, len(mg.Edges[s]), len(g.Edges[s]))
+			if len(mg.Out(s)) != len(g.Out(s)) {
+				t.Fatalf("place %d state %d: %d edges vs %d", p, s, len(mg.Out(s)), len(g.Out(s)))
 			}
-			for i, e := range g.Edges[s] {
-				me := mg.Edges[s][i]
-				if me.To != e.To || me.Label.Key() != e.Label.Key() {
+			for i, e := range g.Out(s) {
+				me := mg.Out(s)[i]
+				ml, l := mg.Label(me.Label), g.Label(e.Label)
+				if me.To != e.To || ml.Key() != l.Key() {
 					t.Fatalf("place %d state %d edge %d: %v->%d vs %v->%d",
-						p, s, i, me.Label, me.To, e.Label, e.To)
+						p, s, i, ml, me.To, l, e.To)
 				}
 			}
 		}

@@ -163,76 +163,31 @@ func (m *Machine) Offers(s int32) ([]lotos.Event, []int32) {
 	return m.OfferEvents[lo:hi], m.OfferEdge[lo:hi]
 }
 
-// label reconstructs the lts.Label of exact edge e.
-func (m *Machine) label(e int32) lts.Label {
-	switch m.Ops[e] {
-	case OpInternal:
-		return lts.Internal()
-	case OpDelta:
-		return lts.Delta()
-	default:
-		return lts.EventLabel(m.Events[e])
-	}
-}
-
-// Graph reconstructs the exact layer as an lts.Graph (state expressions are
-// not retained by compilation, so States holds nils; Keys and Edges are
-// faithful). Used by equivalence checks and graph reporting.
+// Graph reconstructs the exact layer as an lts.Graph over the machine's
+// label table (state expressions are not retained by compilation, so
+// States is nil; Keys and edges are faithful). Used by equivalence checks
+// and graph reporting.
 func (m *Machine) Graph() *lts.Graph {
-	n := m.NumStates()
-	g := &lts.Graph{
-		States:   make([]lotos.Expr, n),
-		Keys:     append([]string(nil), m.Keys...),
-		Edges:    make([][]lts.Edge, n),
-		Depth:    make([]int, n),
-		ObsDepth: make([]int, n),
-		Frontier: map[int]bool{},
-	}
-	for s := 0; s < n; s++ {
-		lo, hi := m.Off[s], m.Off[s+1]
-		if lo == hi {
-			continue
-		}
-		es := make([]lts.Edge, 0, hi-lo)
-		for e := lo; e < hi; e++ {
-			es = append(es, lts.Edge{Label: m.label(e), To: int(m.To[e])})
-		}
-		g.Edges[s] = es
-	}
-	return g
+	return tableGraph(m.Table, m.Keys, m.Off, m.Labels, m.To)
 }
 
 // MinGraph reconstructs the minimized layer as an lts.Graph.
 func (m *Machine) MinGraph() *lts.Graph {
-	n := m.MinStates()
-	g := &lts.Graph{
-		States:   make([]lotos.Expr, n),
-		Keys:     append([]string(nil), m.MinKeys...),
-		Edges:    make([][]lts.Edge, n),
-		Depth:    make([]int, n),
-		ObsDepth: make([]int, n),
-		Frontier: map[int]bool{},
+	return tableGraph(m.Table, m.MinKeys, m.MinOff, m.MinLabels, m.MinTo)
+}
+
+// tableGraph builds the graph of one table layer: state s's edges are the
+// parallel labels/to entries in [off[s], off[s+1]).
+func tableGraph(table *lts.LabelTable, keys []string, off []int32, labels []lts.LabelID, to []int32) *lts.Graph {
+	n := len(off) - 1
+	g := lts.NewGraph(n, table)
+	copy(g.Keys, keys)
+	es := make([]lts.Edge, 0, len(to))
+	for e := range to {
+		es = append(es, lts.Edge{Label: labels[e], To: to[e]})
 	}
-	minLabel := func(e int32) lts.Label {
-		switch m.MinOps[e] {
-		case OpInternal:
-			return lts.Internal()
-		case OpDelta:
-			return lts.Delta()
-		default:
-			return lts.EventLabel(m.MinEvents[e])
-		}
-	}
-	for c := 0; c < n; c++ {
-		lo, hi := m.MinOff[c], m.MinOff[c+1]
-		if lo == hi {
-			continue
-		}
-		es := make([]lts.Edge, 0, hi-lo)
-		for e := lo; e < hi; e++ {
-			es = append(es, lts.Edge{Label: minLabel(e), To: int(m.MinTo[e])})
-		}
-		g.Edges[c] = es
+	for s := 0; s < n; s++ {
+		g.SetOut(s, es[off[s]:off[s+1]]...)
 	}
 	return g
 }

@@ -17,15 +17,16 @@ func (g *Graph) DOT(title string) string {
 	if title != "" {
 		fmt.Fprintf(&b, "  label=%q; labelloc=top;\n", title)
 	}
-	terminated := map[int]bool{}
-	for _, es := range g.Edges {
-		for _, e := range es {
-			if e.Label.Kind == LDelta {
+	n := g.NumStates()
+	terminated := make([]bool, n)
+	for s := 0; s < n; s++ {
+		for _, e := range g.Out(s) {
+			if g.Table.Kind(e.Label) == LDelta {
 				terminated[e.To] = true
 			}
 		}
 	}
-	for s := range g.Edges {
+	for s := 0; s < n; s++ {
 		attrs := []string{fmt.Sprintf("label=\"%d\"", s)}
 		if s == 0 {
 			attrs = append(attrs, "style=bold")
@@ -33,20 +34,20 @@ func (g *Graph) DOT(title string) string {
 		if terminated[s] {
 			attrs = append(attrs, "shape=doublecircle")
 		}
-		if g.Frontier[s] {
+		if g.Frontier(s) {
 			attrs = append(attrs, "style=dashed")
 		}
 		fmt.Fprintf(&b, "  n%d [%s];\n", s, strings.Join(attrs, ", "))
 	}
-	for s, es := range g.Edges {
-		for _, e := range es {
-			switch e.Label.Kind {
+	for s := 0; s < n; s++ {
+		for _, e := range g.Out(s) {
+			switch l := g.Label(e.Label); l.Kind {
 			case LInternal:
 				fmt.Fprintf(&b, "  n%d -> n%d [label=\"i\", style=dashed, color=gray];\n", s, e.To)
 			case LDelta:
 				fmt.Fprintf(&b, "  n%d -> n%d [label=\"δ\"];\n", s, e.To)
 			default:
-				fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", s, e.To, e.Label.Ev.String())
+				fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", s, e.To, l.Ev.String())
 			}
 		}
 	}

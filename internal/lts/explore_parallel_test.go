@@ -4,35 +4,58 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/lotos"
 )
 
 // fakeSource is a StateSource over string states with a fixed edge table,
-// for explorer tests that need precise control over discovery order.
+// for explorer tests that need precise control over discovery order. A
+// state's key is its name.
 type fakeSource struct {
-	edges map[string][]GenTransition
+	edges map[string][]fakeTrans
 	// failOn makes Next fail for the states it holds.
 	failOn map[string]bool
+	table  *LabelTable
+	mu     sync.Mutex // serializes interning
 }
 
-func (f *fakeSource) Next(state any) ([]GenTransition, error) {
-	s := state.(string)
-	if f.failOn[s] {
-		return nil, errors.New("injected derivation failure")
+// fakeTrans is one transition of a fakeSource.
+type fakeTrans struct {
+	label Label
+	to    string
+}
+
+func (f *fakeSource) Labels() *LabelTable {
+	if f.table == nil {
+		f.table = NewLabelTable()
 	}
-	return f.edges[s], nil
+	return f.table
 }
 
-func obs(to string) GenTransition {
-	return GenTransition{Label: Label{Kind: LEvent, Ev: lotos.ServiceEvent("a", 1)}, Key: to, To: to}
+func (f *fakeSource) Next(st State, out *Successors) error {
+	s := st.Val.(string)
+	if f.failOn[s] {
+		return errors.New("injected derivation failure")
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, t := range f.edges[s] {
+		out.EmitValue(f.table.Intern(t.label), t.to, t.to)
+	}
+	return nil
 }
 
-func tau(to string) GenTransition {
-	return GenTransition{Label: Internal(), Key: to, To: to}
+func obs(to string) fakeTrans {
+	return fakeTrans{Label{Kind: LEvent, Ev: lotos.ServiceEvent("a", 1)}, to}
+}
+
+func tau(to string) fakeTrans {
+	return fakeTrans{Internal(), to}
 }
 
 func stateID(t *testing.T, g *Graph, key string) int {
@@ -59,7 +82,7 @@ func stateID(t *testing.T, g *Graph, key string) int {
 // those improvements pass through C and D, whose shortest transition
 // distances (2 and 3) were discovered second.
 func TestReExpansionRelaxesDepth(t *testing.T) {
-	src := &fakeSource{edges: map[string][]GenTransition{
+	src := &fakeSource{edges: map[string][]fakeTrans{
 		"root": {obs("A2"), tau("X1")},
 		"X1":   {obs("A1"), tau("X2")},
 		"A1":   {tau("C")},
@@ -72,7 +95,7 @@ func TestReExpansionRelaxesDepth(t *testing.T) {
 	check := func(t *testing.T, g *Graph) {
 		t.Helper()
 		if g.Truncated {
-			t.Errorf("graph truncated, frontier %v", g.Frontier)
+			t.Errorf("graph truncated, frontier %v", g.FrontierStates())
 		}
 		if n := g.NumStates(); n != 8 {
 			t.Fatalf("explored %d states, want 8", n)
@@ -93,7 +116,7 @@ func TestReExpansionRelaxesDepth(t *testing.T) {
 	}
 	for _, e := range engines {
 		t.Run(e.name, func(t *testing.T) {
-			check(t, e.run(t, src, "root", "root", Limits{MaxObsDepth: 1}))
+			check(t, e.run(t, src, "root", State{Val: "root"}, Limits{MaxObsDepth: 1}))
 		})
 	}
 }
@@ -104,7 +127,7 @@ func TestReExpansionRelaxesDepth(t *testing.T) {
 // remaining successors are unknown), is NOT reported as a deadlock, and
 // the graph is Truncated.
 func TestMaxStatesMidExpansionFrontier(t *testing.T) {
-	src := &fakeSource{edges: map[string][]GenTransition{
+	src := &fakeSource{edges: map[string][]fakeTrans{
 		"root": {obs("B")},
 		"B":    {obs("C1"), obs("C2")},
 		"C1":   {obs("B")},
@@ -113,15 +136,15 @@ func TestMaxStatesMidExpansionFrontier(t *testing.T) {
 	for _, e := range engines {
 		t.Run(e.name, func(t *testing.T) {
 			// Cap 2: B is reached but cannot expand at all.
-			g := e.run(t, src, "root", "root", Limits{MaxStates: 2})
+			g := e.run(t, src, "root", State{Val: "root"}, Limits{MaxStates: 2})
 			if !g.Truncated {
 				t.Error("cap=2: graph not marked truncated")
 			}
 			b := stateID(t, g, "B")
-			if len(g.Edges[b]) != 0 {
-				t.Errorf("cap=2: B has %d edges, want 0", len(g.Edges[b]))
+			if len(g.Out(b)) != 0 {
+				t.Errorf("cap=2: B has %d edges, want 0", len(g.Out(b)))
 			}
-			if !g.Frontier[b] {
+			if !g.Frontier(b) {
 				t.Error("cap=2: B not in frontier")
 			}
 			if dl := g.Deadlocks(); len(dl) != 0 {
@@ -130,15 +153,15 @@ func TestMaxStatesMidExpansionFrontier(t *testing.T) {
 
 			// Cap 3: B expands its first edge (C1 joins), then hits the cap
 			// deriving C2 — a partially derived edge list.
-			g = e.run(t, src, "root", "root", Limits{MaxStates: 3})
+			g = e.run(t, src, "root", State{Val: "root"}, Limits{MaxStates: 3})
 			if !g.Truncated {
 				t.Error("cap=3: graph not marked truncated")
 			}
 			b = stateID(t, g, "B")
-			if len(g.Edges[b]) != 1 {
-				t.Errorf("cap=3: B has %d edges, want 1 (partial expansion)", len(g.Edges[b]))
+			if len(g.Out(b)) != 1 {
+				t.Errorf("cap=3: B has %d edges, want 1 (partial expansion)", len(g.Out(b)))
 			}
-			if !g.Frontier[b] {
+			if !g.Frontier(b) {
 				t.Error("cap=3: partially expanded B not in frontier")
 			}
 			if dl := g.Deadlocks(); len(dl) != 0 {
@@ -146,7 +169,7 @@ func TestMaxStatesMidExpansionFrontier(t *testing.T) {
 			}
 
 			// Cap 4: closure; C2 is a genuine deadlock, B is not frontier.
-			g = e.run(t, src, "root", "root", Limits{MaxStates: 4})
+			g = e.run(t, src, "root", State{Val: "root"}, Limits{MaxStates: 4})
 			if g.Truncated {
 				t.Error("cap=4: graph should be complete")
 			}
@@ -165,10 +188,10 @@ func graphSig(g *Graph) (keys []string, adj map[string][]string, depth map[strin
 	adj = map[string][]string{}
 	depth = map[string]int{}
 	obsDepth = map[string]int{}
-	for s, es := range g.Edges {
+	for s := range g.Keys {
 		var out []string
-		for _, e := range es {
-			out = append(out, fmt.Sprintf("%v->%s", e.Label, g.Keys[e.To]))
+		for _, e := range g.Out(s) {
+			out = append(out, fmt.Sprintf("%v->%s", g.Label(e.Label), g.Keys[e.To]))
 		}
 		sort.Strings(out)
 		adj[g.Keys[s]] = out
@@ -199,7 +222,7 @@ func TestParallelMatchesSerialOnSpecs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := e.run(t, &exprSource{env: env}, lotos.Canon(sp.Root.Expr), sp.Root.Expr, lim)
+			g := e.run(t, &exprSource{env: env, table: NewLabelTable()}, lotos.Canon(sp.Root.Expr), State{Val: sp.Root.Expr}, lim)
 			if ref == nil {
 				ref = g
 				continue
@@ -237,7 +260,7 @@ func TestParallelDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, _, err := ExploreSource(&exprSource{env: env}, lotos.Canon(sp.Root.Expr), sp.Root.Expr, lim, 8, nil)
+		g, _, err := ExploreSource(&exprSource{env: env, table: NewLabelTable()}, lotos.Canon(sp.Root.Expr), State{Val: sp.Root.Expr}, lim, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,8 +270,10 @@ func TestParallelDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.Keys, b.Keys) {
 		t.Fatal("state numbering differs between identical parallel runs")
 	}
-	if !reflect.DeepEqual(a.Edges, b.Edges) {
-		t.Error("edges differ between identical parallel runs")
+	for s := range a.Keys {
+		if !slices.Equal(a.Out(s), b.Out(s)) {
+			t.Errorf("edges of state %d differ between identical parallel runs", s)
+		}
 	}
 	if !reflect.DeepEqual(a.Depth, b.Depth) || !reflect.DeepEqual(a.ObsDepth, b.ObsDepth) {
 		t.Error("depth accounting differs between identical parallel runs")
@@ -260,7 +285,7 @@ func TestParallelDeterministic(t *testing.T) {
 // frontier order, whatever the worker count and index.
 func TestParallelPropagatesErrors(t *testing.T) {
 	src := &fakeSource{
-		edges: map[string][]GenTransition{
+		edges: map[string][]fakeTrans{
 			"root": {obs("s0"), obs("s1"), obs("s2"), obs("s3")},
 			"s0":   {}, "s1": {}, "s2": {}, "s3": {},
 		},
@@ -268,7 +293,7 @@ func TestParallelPropagatesErrors(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		for _, spill := range []*SpillConfig{nil, {Dir: t.TempDir()}} {
-			_, _, err := ExploreSource(src, "root", "root", Limits{}, workers, spill)
+			_, _, err := ExploreSource(src, "root", State{Val: "root"}, Limits{}, workers, spill)
 			// s1 is state 2: the root is 0 and s0 is 1.
 			if err == nil || !strings.Contains(err.Error(), "exploring state 2:") {
 				t.Errorf("workers=%d spill=%v: got %v, want the failure of state 2 (s1)", workers, spill != nil, err)

@@ -2,6 +2,7 @@ package lts
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/lotos"
@@ -13,23 +14,29 @@ import (
 // it. It agrees with explore on the (depth, obs-depth, expansion) fixpoint —
 // the same states, keys, edges and depths — and numbers states the same way
 // unless MaxObsDepth re-expansions reorder discovery.
-func refExplore(src StateSource, rootKey string, root any, lim Limits) (*Graph, error) {
+func refExplore(src StateSource, rootKey string, root State, lim Limits) (*Graph, error) {
 	maxStates := lim.MaxStates
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
 	}
-	g := &Graph{Frontier: map[int]bool{}}
-	var states []any
+	table := src.Labels()
+	var (
+		states   []State
+		edges    [][]Edge
+		frontier = map[int]bool{}
+		keys     []string
+		depth    []int
+	)
 	index := map[string]int{}
 	obsDepth := []int{}
 	expanded := []bool{}
-	add := func(key string, st any, depth, obs int) int {
+	add := func(key string, st State, d, obs int) int {
 		id := len(states)
 		index[key] = id
 		states = append(states, st)
-		g.Keys = append(g.Keys, key)
-		g.Edges = append(g.Edges, nil)
-		g.Depth = append(g.Depth, depth)
+		keys = append(keys, key)
+		edges = append(edges, nil)
+		depth = append(depth, d)
 		obsDepth = append(obsDepth, obs)
 		expanded = append(expanded, false)
 		return id
@@ -40,7 +47,7 @@ func refExplore(src StateSource, rootKey string, root any, lim Limits) (*Graph, 
 	// target.
 	relax := func(head int, e Edge) {
 		nd := obsDepth[head]
-		if e.Label.Observable() {
+		if table.Observable(e.Label) {
 			nd++
 		}
 		improved := false
@@ -48,62 +55,75 @@ func refExplore(src StateSource, rootKey string, root any, lim Limits) (*Graph, 
 			obsDepth[e.To] = nd
 			improved = true
 		}
-		if d := g.Depth[head] + 1; d < g.Depth[e.To] {
-			g.Depth[e.To] = d
+		if d := depth[head] + 1; d < depth[e.To] {
+			depth[e.To] = d
 			improved = true
 		}
 		if improved {
-			queue = append(queue, e.To)
+			queue = append(queue, int(e.To))
 		}
 	}
 	for len(queue) > 0 {
 		head := queue[0]
 		queue = queue[1:]
 		if expanded[head] {
-			for _, e := range g.Edges[head] {
+			for _, e := range edges[head] {
 				relax(head, e)
 			}
 			continue
 		}
-		if (lim.MaxDepth > 0 && g.Depth[head] >= lim.MaxDepth) ||
+		if (lim.MaxDepth > 0 && depth[head] >= lim.MaxDepth) ||
 			(lim.MaxObsDepth > 0 && obsDepth[head] >= lim.MaxObsDepth) {
-			g.Frontier[head] = true
+			frontier[head] = true
 			continue
 		}
-		ts, err := src.Next(states[head])
-		if err != nil {
+		var ts Successors
+		if err := src.Next(states[head], &ts); err != nil {
 			return nil, fmt.Errorf("exploring state %d: %w", head, err)
 		}
 		expanded[head] = true
-		delete(g.Frontier, head)
-		g.Edges[head] = make([]Edge, 0, len(ts))
-		for _, t := range ts {
-			if id, ok := index[t.Key]; ok {
-				g.Edges[head] = append(g.Edges[head], Edge{Label: t.Label, To: id})
-				relax(head, Edge{Label: t.Label, To: id})
+		delete(frontier, head)
+		for j := 0; j < ts.Len(); j++ {
+			label, key := ts.Label(j), string(ts.Key(j))
+			if id, ok := index[key]; ok {
+				edges[head] = append(edges[head], Edge{Label: label, To: int32(id)})
+				relax(head, Edge{Label: label, To: int32(id)})
 				continue
 			}
 			if len(states) >= maxStates {
-				g.Frontier[head] = true
+				frontier[head] = true
 				continue
 			}
 			nd := obsDepth[head]
-			if t.Label.Observable() {
+			if table.Observable(label) {
 				nd++
 			}
-			to := add(t.Key, t.To, g.Depth[head]+1, nd)
-			g.Edges[head] = append(g.Edges[head], Edge{Label: t.Label, To: to})
+			st := ts.State(j)
+			st.Words = slices.Clone(st.Words)
+			to := add(key, st, depth[head]+1, nd)
+			edges[head] = append(edges[head], Edge{Label: label, To: int32(to)})
 			queue = append(queue, to)
 		}
 	}
-	g.States = make([]lotos.Expr, len(states))
+	g := NewGraph(len(states), table)
+	copy(g.Keys, keys)
+	copy(g.Depth, depth)
+	copy(g.ObsDepth, obsDepth)
+	for s, es := range edges {
+		g.SetOut(s, es...)
+		if frontier[s] {
+			g.SetFrontier(s, true)
+		}
+	}
 	for i, st := range states {
-		if e, ok := st.(lotos.Expr); ok {
+		if e, ok := st.Val.(lotos.Expr); ok {
+			if g.States == nil {
+				g.States = make([]lotos.Expr, len(states))
+			}
 			g.States[i] = e
 		}
 	}
-	g.ObsDepth = obsDepth
-	g.Truncated = len(g.Frontier) > 0
+	g.Truncated = len(frontier) > 0
 	return g, nil
 }
 
@@ -111,13 +131,13 @@ func refExplore(src StateSource, rootKey string, root any, lim Limits) (*Graph, 
 // the level-synchronous explorer at some worker count and index.
 type engine struct {
 	name string
-	run  func(t *testing.T, src StateSource, rootKey string, root any, lim Limits) *Graph
+	run  func(t *testing.T, src StateSource, rootKey string, root State, lim Limits) *Graph
 }
 
 // inMemory runs the level-synchronous explorer on workers workers with the
 // in-memory index.
 func inMemory(name string, workers int) engine {
-	return engine{name, func(t *testing.T, src StateSource, rootKey string, root any, lim Limits) *Graph {
+	return engine{name, func(t *testing.T, src StateSource, rootKey string, root State, lim Limits) *Graph {
 		t.Helper()
 		g, _, err := ExploreSource(src, rootKey, root, lim, workers, nil)
 		if err != nil {
@@ -130,7 +150,7 @@ func inMemory(name string, workers int) engine {
 // spilled runs the level-synchronous explorer on workers workers with the
 // spilling index under the given byte budget.
 func spilled(name string, workers int, budget int64) engine {
-	return engine{name, func(t *testing.T, src StateSource, rootKey string, root any, lim Limits) *Graph {
+	return engine{name, func(t *testing.T, src StateSource, rootKey string, root State, lim Limits) *Graph {
 		t.Helper()
 		g, _, err := ExploreSource(src, rootKey, root, lim, workers, &SpillConfig{Budget: budget, Dir: t.TempDir()})
 		if err != nil {
@@ -144,7 +164,7 @@ func spilled(name string, workers int, budget int64) engine {
 // inline, on four workers, and on two workers over a spilling index of a 1
 // KiB budget.
 var engines = []engine{
-	{"ref", func(t *testing.T, src StateSource, rootKey string, root any, lim Limits) *Graph {
+	{"ref", func(t *testing.T, src StateSource, rootKey string, root State, lim Limits) *Graph {
 		t.Helper()
 		g, err := refExplore(src, rootKey, root, lim)
 		if err != nil {

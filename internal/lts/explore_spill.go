@@ -2,11 +2,13 @@ package lts
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 )
 
@@ -80,32 +82,42 @@ type spillIndex struct {
 	dir    string
 	budget int64
 
-	mem      map[string]int
+	mem      map[string]int32
 	memBytes int64
 	peak     int64
 
 	runs         []spillRun
 	spilledBytes int64
 
-	// known holds the ids of the current level's target keys (resolve)
-	// and of every key put since.
-	known map[string]int
+	// known holds the ids of the keys put since the current level was
+	// resolved, which a flush may have moved out of mem.
+	known map[string]int32
+	// probes are the current level's target keys, sorted and deduplicated;
+	// they alias the level's derivation buffers. hits[i] is the id of
+	// probes[i] found in mem or a run when the level was resolved, or -1.
+	probes [][]byte
+	hits   []int32
 }
 
 func newSpillIndex(dir string, budget int64) *spillIndex {
-	return &spillIndex{dir: dir, budget: budget, mem: map[string]int{}, known: map[string]int{}}
+	return &spillIndex{dir: dir, budget: budget, mem: map[string]int32{}, known: map[string]int32{}}
 }
 
-func (x *spillIndex) get(key string) (int, bool) {
-	id, ok := x.known[key]
-	return id, ok
+func (x *spillIndex) get(key []byte) (int, bool) {
+	if id, ok := x.known[string(key)]; ok {
+		return int(id), true
+	}
+	if i, ok := slices.BinarySearchFunc(x.probes, key, bytes.Compare); ok && x.hits[i] >= 0 {
+		return int(x.hits[i]), true
+	}
+	return 0, false
 }
 
 // put inserts a key known to be absent from the index, spilling a run when
 // the in-memory footprint crosses the budget.
 func (x *spillIndex) put(key string, id int) error {
-	x.known[key] = id
-	x.mem[key] = id
+	x.known[key] = int32(id)
+	x.mem[key] = int32(id)
 	x.memBytes += int64(len(key)) + spillEntryOverhead
 	if x.memBytes > x.peak {
 		x.peak = x.memBytes
@@ -159,41 +171,47 @@ func (x *spillIndex) flush() error {
 	}
 	x.runs = append(x.runs, spillRun{path: path, min: keys[0], max: keys[len(keys)-1]})
 	x.spilledBytes += written
-	x.mem = map[string]int{}
+	x.mem = map[string]int32{}
 	x.memBytes = 0
 	return nil
 }
 
 // resolve looks up a level's target keys in one pass: a map probe per key,
 // then one sequential merge of the sorted misses against each run whose key
-// range intersects them.
-func (x *spillIndex) resolve(level [][]GenTransition) error {
-	x.known = map[string]int{}
-	var misses []string
-	for _, ts := range level {
-		for _, t := range ts {
-			if id, ok := x.mem[t.Key]; ok {
-				x.known[t.Key] = id
-			} else {
-				misses = append(misses, t.Key)
-			}
+// range intersects them. Every target key becomes a probe, those found in
+// memory included: a flush during the merge may move them to disk.
+func (x *spillIndex) resolve(level *derivedLevel) error {
+	clear(x.known)
+	probes := x.probes[:0]
+	for _, buf := range level.bufs {
+		for j := 0; j < buf.Len(); j++ {
+			probes = append(probes, buf.Key(j))
 		}
 	}
-	if len(misses) == 0 || len(x.runs) == 0 {
+	slices.SortFunc(probes, bytes.Compare)
+	probes = slices.CompactFunc(probes, bytes.Equal)
+	x.probes = probes
+	x.hits = slices.Grow(x.hits[:0], len(probes))[:len(probes)]
+	var lo, hi []byte // the least and greatest miss
+	for i, key := range probes {
+		id, ok := x.mem[string(key)]
+		if !ok {
+			id = -1
+			if lo == nil {
+				lo = key
+			}
+			hi = key
+		}
+		x.hits[i] = id
+	}
+	if lo == nil {
 		return nil
 	}
-	sort.Strings(misses)
-	uniq := misses[:1]
-	for _, k := range misses[1:] {
-		if k != uniq[len(uniq)-1] {
-			uniq = append(uniq, k)
-		}
-	}
 	for _, run := range x.runs {
-		if uniq[len(uniq)-1] < run.min || uniq[0] > run.max {
+		if string(hi) < run.min || string(lo) > run.max {
 			continue
 		}
-		if err := run.scan(uniq, x.known); err != nil {
+		if err := run.scan(probes, x.hits); err != nil {
 			return err
 		}
 	}
@@ -201,8 +219,9 @@ func (x *spillIndex) resolve(level [][]GenTransition) error {
 }
 
 // scan merges the sorted probe list against the run's sorted records,
-// recording every hit.
-func (run spillRun) scan(probes []string, out map[string]int) error {
+// recording the id of every hit in hits. A probe found in memory has no
+// record on disk.
+func (run spillRun) scan(probes [][]byte, hits []int32) error {
 	f, err := os.Open(run.path)
 	if err != nil {
 		return fmt.Errorf("lts: reading spilled run: %w", err)
@@ -230,15 +249,14 @@ func (run spillRun) scan(probes []string, out map[string]int) error {
 		if err != nil {
 			return fmt.Errorf("lts: reading spilled run: %w", err)
 		}
-		key := string(keyBuf)
-		for i < len(probes) && probes[i] < key {
+		for i < len(probes) && bytes.Compare(probes[i], keyBuf) < 0 {
 			i++
 		}
 		if i >= len(probes) {
 			return nil
 		}
-		if probes[i] == key {
-			out[probes[i]] = int(id)
+		if bytes.Equal(probes[i], keyBuf) {
+			hits[i] = int32(id)
 			i++
 			if i >= len(probes) {
 				return nil
@@ -256,7 +274,7 @@ func (x *spillIndex) stats(into *SpillStats) {
 // exploreSpill runs an exploration over the budget-bounded index in a
 // temporary directory that it removes on return. The statistics are
 // non-nil even on error.
-func exploreSpill(src StateSource, rootKey string, root any, lim Limits, workers int, cfg SpillConfig) (*Graph, *SpillStats, error) {
+func exploreSpill(src StateSource, rootKey string, root State, lim Limits, workers int, cfg SpillConfig) (*Graph, *SpillStats, error) {
 	stats := &SpillStats{}
 	if cfg.StatsOnly && (lim.MaxDepth > 0 || lim.MaxObsDepth > 0) {
 		return nil, stats, fmt.Errorf("lts: stats-only spill exploration supports the MaxStates limit only")
@@ -287,7 +305,7 @@ func exploreSpill(src StateSource, rootKey string, root any, lim Limits, workers
 
 // exploreSpillStats runs the census: a level-synchronous BFS that retains
 // only the bounded index, the current level's payloads, and counters.
-func exploreSpillStats(src StateSource, rootKey string, root any, lim Limits, workers int, idx *spillIndex, stats *SpillStats) error {
+func exploreSpillStats(src StateSource, rootKey string, root State, lim Limits, workers int, idx *spillIndex, stats *SpillStats) error {
 	maxStates := lim.MaxStates
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
@@ -296,32 +314,42 @@ func exploreSpillStats(src StateSource, rootKey string, root any, lim Limits, wo
 		return err
 	}
 	states := 1
-	for level := []any{root}; len(level) > 0; {
-		results, _, err := deriveAll(src, level, workers)
-		if err != nil {
+	var (
+		level   = []State{root}
+		next    []State
+		derived derivedLevel
+	)
+	for len(level) > 0 {
+		if _, err := deriveAll(src, level, workers, &derived); err != nil {
 			return err
 		}
-		if err := idx.resolve(results); err != nil {
+		if err := idx.resolve(&derived); err != nil {
 			return err
 		}
-		level = nil
-		for _, ts := range results {
-			stats.Transitions += int64(len(ts))
-			for _, t := range ts {
-				if _, ok := idx.get(t.Key); ok {
+		next = next[:0]
+		for i := range level {
+			buf := derived.bufs[derived.owner[i]]
+			for j := int(derived.lo[i]); j < int(derived.hi[i]); j++ {
+				stats.Transitions++
+				key := buf.Key(j)
+				if _, ok := idx.get(key); ok {
 					continue
 				}
 				if states >= maxStates {
 					stats.Truncated = true
 					continue
 				}
-				if err := idx.put(t.Key, states); err != nil {
+				if err := idx.put(string(key), states); err != nil {
 					return err
 				}
 				states++
-				level = append(level, t.To)
+				st := buf.State(j)
+				st.Words = slices.Clone(st.Words)
+				next = append(next, st)
 			}
 		}
+		clear(level)
+		level, next = next, level
 	}
 	stats.States = int64(states)
 	return nil

@@ -3,6 +3,7 @@ package lts
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -12,10 +13,10 @@ import (
 // chord edges, a τ self-avoiding chain, and a few terminal (deadlock)
 // states hanging off the chords.
 func spillTestSource(n int) *fakeSource {
-	f := &fakeSource{edges: map[string][]GenTransition{}}
+	f := &fakeSource{edges: map[string][]fakeTrans{}}
 	name := func(i int) string { return "state-" + strconv.Itoa(i) }
 	for i := 0; i < n; i++ {
-		var out []GenTransition
+		var out []fakeTrans
 		out = append(out, obs(name((i+1)%n)))
 		if i%3 == 0 {
 			out = append(out, tau(name((i*7+13)%n)))
@@ -41,8 +42,13 @@ func assertGraphsIdentical(t *testing.T, a, b *Graph, what string) {
 	if !reflect.DeepEqual(a.Keys, b.Keys) {
 		t.Fatalf("%s: state numbering differs", what)
 	}
-	if !reflect.DeepEqual(a.Edges, b.Edges) {
-		t.Fatalf("%s: edge tables differ", what)
+	for s := range a.Keys {
+		if !slices.Equal(a.Out(s), b.Out(s)) {
+			t.Fatalf("%s: edges of state %d differ", what, s)
+		}
+	}
+	if !slices.Equal(a.FrontierStates(), b.FrontierStates()) {
+		t.Fatalf("%s: frontiers differ", what)
 	}
 	if a.Truncated != b.Truncated {
 		t.Fatalf("%s: truncation flags differ: %v vs %v", what, a.Truncated, b.Truncated)
@@ -55,7 +61,7 @@ func assertGraphsIdentical(t *testing.T, a, b *Graph, what string) {
 // exploreSpilled runs the explorer over the spilling index.
 func exploreSpilled(t *testing.T, src StateSource, lim Limits, workers int, budget int64) (*Graph, *SpillStats) {
 	t.Helper()
-	g, stats, err := ExploreSource(src, "state-0", "state-0", lim, workers, &SpillConfig{Budget: budget, Dir: t.TempDir()})
+	g, stats, err := ExploreSource(src, "state-0", State{Val: "state-0"}, lim, workers, &SpillConfig{Budget: budget, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +76,12 @@ func exploreSpilled(t *testing.T, src StateSource, lim Limits, workers int, budg
 func TestSpillMatchesInMemoryExplorers(t *testing.T) {
 	src := spillTestSource(900)
 	lim := Limits{MaxStates: 5000}
-	ref, err := refExplore(src, "state-0", "state-0", lim)
+	ref, err := refExplore(src, "state-0", State{Val: "state-0"}, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		mem, _, err := ExploreSource(src, "state-0", "state-0", lim, workers, nil)
+		mem, _, err := ExploreSource(src, "state-0", State{Val: "state-0"}, lim, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +112,7 @@ func TestSpillMatchesInMemoryExplorers(t *testing.T) {
 func TestSpillLargeBudgetNeverSpills(t *testing.T) {
 	src := spillTestSource(300)
 	lim := Limits{MaxStates: 5000}
-	mem, _, err := ExploreSource(src, "state-0", "state-0", lim, 2, nil)
+	mem, _, err := ExploreSource(src, "state-0", State{Val: "state-0"}, lim, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +130,7 @@ func TestSpillLargeBudgetNeverSpills(t *testing.T) {
 func TestSpillTruncationMatchesParallel(t *testing.T) {
 	src := spillTestSource(900)
 	lim := Limits{MaxStates: 200}
-	ref, err := refExplore(src, "state-0", "state-0", lim)
+	ref, err := refExplore(src, "state-0", State{Val: "state-0"}, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +138,7 @@ func TestSpillTruncationMatchesParallel(t *testing.T) {
 		t.Fatal("200-state cap over a 900-state graph did not truncate")
 	}
 	for _, workers := range []int{1, 4} {
-		mem, _, err := ExploreSource(src, "state-0", "state-0", lim, workers, nil)
+		mem, _, err := ExploreSource(src, "state-0", State{Val: "state-0"}, lim, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +171,7 @@ func TestSpillStatsOnly(t *testing.T) {
 	src := spillTestSource(400)
 	lim := Limits{MaxStates: 5000}
 	full, fullStats := exploreSpilled(t, src, lim, 1, 2048)
-	g, stats, err := ExploreSource(src, "state-0", "state-0", lim, 1, &SpillConfig{Budget: 2048, Dir: t.TempDir(), StatsOnly: true})
+	g, stats, err := ExploreSource(src, "state-0", State{Val: "state-0"}, lim, 1, &SpillConfig{Budget: 2048, Dir: t.TempDir(), StatsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +186,7 @@ func TestSpillStatsOnly(t *testing.T) {
 		t.Errorf("full graph has %d states, stats-only counted %d", full.NumStates(), stats.States)
 	}
 
-	if _, _, err := ExploreSource(src, "state-0", "state-0", Limits{MaxObsDepth: 3}, 1, &SpillConfig{StatsOnly: true}); err == nil {
+	if _, _, err := ExploreSource(src, "state-0", State{Val: "state-0"}, Limits{MaxObsDepth: 3}, 1, &SpillConfig{StatsOnly: true}); err == nil {
 		t.Error("stats-only with a depth limit did not error")
 	}
 }
@@ -190,7 +196,7 @@ func TestSpillStatsOnly(t *testing.T) {
 func TestSpillDerivationErrorPropagates(t *testing.T) {
 	src := spillTestSource(100)
 	src.failOn = map[string]bool{"state-50": true}
-	g, stats, err := ExploreSource(src, "state-0", "state-0", Limits{MaxStates: 5000}, 1, &SpillConfig{Budget: 1024, Dir: t.TempDir()})
+	g, stats, err := ExploreSource(src, "state-0", State{Val: "state-0"}, Limits{MaxStates: 5000}, 1, &SpillConfig{Budget: 1024, Dir: t.TempDir()})
 	if err == nil {
 		t.Fatal("injected derivation failure did not surface")
 	}
@@ -199,5 +205,36 @@ func TestSpillDerivationErrorPropagates(t *testing.T) {
 	}
 	if stats == nil {
 		t.Error("failed exploration returned nil stats")
+	}
+}
+
+// TestSpillFlushMidLevel pins the index's lookups across a flush in the
+// middle of merging a level: targets that were in memory when the level was
+// resolved must still be found after the flush moved them to disk. Every
+// state of the second level points back at the first ten states of the
+// first, and the budget fills up halfway through the second level's merge.
+func TestSpillFlushMidLevel(t *testing.T) {
+	f := &fakeSource{edges: map[string][]fakeTrans{}}
+	a := func(i int) string { return "a" + strconv.Itoa(i) }
+	for i := 0; i < 100; i++ {
+		f.edges["root"] = append(f.edges["root"], obs(a(i)))
+		out := []fakeTrans{obs("b" + strconv.Itoa(i))}
+		for j := 0; j < 10; j++ {
+			out = append(out, tau(a(j)))
+		}
+		f.edges[a(i)] = out
+	}
+	lim := Limits{MaxStates: 5000}
+	mem, _, err := ExploreSource(f, "root", State{Val: "root"}, lim, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spilled, stats, err := ExploreSource(f, "root", State{Val: "root"}, lim, 1, &SpillConfig{Budget: 8000, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGraphsIdentical(t, mem, spilled, "spill flushing mid-level vs in-memory")
+	if stats.Runs == 0 {
+		t.Error("the budget never filled up")
 	}
 }

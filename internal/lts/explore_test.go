@@ -88,7 +88,7 @@ func TestCanReachDelta(t *testing.T) {
 	// The state after b1 (stop) cannot.
 	foundStuck := false
 	for s := range g.States {
-		if len(g.Edges[s]) == 0 && !reach[s] {
+		if len(g.Out(s)) == 0 && !reach[s] {
 			foundStuck = true
 		}
 	}

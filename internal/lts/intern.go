@@ -1,11 +1,9 @@
 package lts
 
-// Label interning and compressed-sparse-row (CSR) graph export: the
-// substrate of the integer equivalence engine in internal/equiv. Labels
-// synchronize (and compare, for bisimulation) by their Key() string; the
-// equivalence checker compares them millions of times per run, so it works
-// on dense integer ids from a LabelTable instead, and walks edges through
-// flat offset/label/target arrays instead of per-state slices of structs.
+// Label interning. Labels synchronize (and compare, for bisimulation) by
+// their Key() string; graphs, the explorer and the equivalence engine work
+// on dense integer ids from a LabelTable instead, so an edge is two int32s
+// and label comparisons are integer comparisons.
 
 // LabelID is a dense integer id for a label key, assigned by a LabelTable.
 // Two labels carry the same LabelID exactly when their Key() strings are
@@ -15,28 +13,38 @@ type LabelID int32
 
 // LabelTable interns label keys into dense LabelIDs. The zero value is not
 // ready; use NewLabelTable. A table may be shared across several graphs so
-// their CSR exports speak the same id space (that is how the equivalence
-// checker compares two graphs). Not safe for concurrent interning.
+// they speak the same id space. Not safe for concurrent interning; reading
+// ids interned before is safe alongside other readers.
 type LabelTable struct {
-	ids    map[string]LabelID
-	labels []Label // representative label per id, for rendering
+	ids map[string]LabelID
+	// byLabel recalls the id of a label value already interned, so that
+	// interning a known label builds no key string.
+	byLabel map[Label]LabelID
+	labels  []Label  // representative label per id
+	names   []string // rendering (Label.String) per id
+	// rendered[id] is the first id interned with id's rendering, so ids of
+	// equal rendering share it; byName maps a rendering to that id.
+	rendered []LabelID
+	byName   map[string]LabelID
 }
 
 // NewLabelTable returns an empty interning table.
 func NewLabelTable() *LabelTable {
-	return &LabelTable{ids: make(map[string]LabelID, 16)}
+	return &LabelTable{ids: make(map[string]LabelID, 16), byLabel: make(map[Label]LabelID, 16), byName: make(map[string]LabelID, 16)}
 }
 
 // Intern returns the dense id of l's key, assigning the next free id on
 // first sight.
 func (t *LabelTable) Intern(l Label) LabelID {
-	key := l.Key()
-	if id, ok := t.ids[key]; ok {
+	if id, ok := t.byLabel[l]; ok {
 		return id
 	}
-	id := LabelID(len(t.labels))
-	t.ids[key] = id
-	t.labels = append(t.labels, l)
+	key := l.Key()
+	id, ok := t.ids[key]
+	if !ok {
+		id = t.add(key, l)
+	}
+	t.byLabel[l] = id
 	return id
 }
 
@@ -47,14 +55,33 @@ func (t *LabelTable) InternKey(key string) LabelID {
 	if id, ok := t.ids[key]; ok {
 		return id
 	}
+	return t.add(key, Internal())
+}
+
+func (t *LabelTable) add(key string, l Label) LabelID {
 	id := LabelID(len(t.labels))
 	t.ids[key] = id
-	t.labels = append(t.labels, Label{Kind: LInternal})
+	t.labels = append(t.labels, l)
+	name := l.String()
+	t.names = append(t.names, name)
+	r, ok := t.byName[name]
+	if !ok {
+		r = id
+		t.byName[name] = id
+	}
+	t.rendered = append(t.rendered, r)
 	return id
 }
 
 // Label returns the representative label first interned under id.
 func (t *LabelTable) Label(id LabelID) Label { return t.labels[id] }
+
+// Name returns the rendering (Label.String) of the label interned under id.
+func (t *LabelTable) Name(id LabelID) string { return t.names[id] }
+
+// Rendered returns the first id interned with the rendering of id: two ids
+// render alike exactly when their Rendered ids are equal.
+func (t *LabelTable) Rendered(id LabelID) LabelID { return t.rendered[id] }
 
 // Key returns the canonical key string interned under id — the
 // content-derived total order the FSM compiler sorts minimized transition
@@ -62,47 +89,35 @@ func (t *LabelTable) Label(id LabelID) Label { return t.labels[id] }
 // and interning order.
 func (t *LabelTable) Key(id LabelID) string { return t.labels[id].Key() }
 
+// Kind returns the kind of the label interned under id.
+func (t *LabelTable) Kind(id LabelID) LabelKind { return t.labels[id].Kind }
+
 // Observable reports whether id was interned from an observable label.
-func (t *LabelTable) Observable(id LabelID) bool { return t.labels[id].Observable() }
+func (t *LabelTable) Observable(id LabelID) bool { return t.labels[id].Kind != LInternal }
 
 // Len returns the number of distinct interned keys.
 func (t *LabelTable) Len() int { return len(t.labels) }
 
-// CSR is a compressed-sparse-row view of a Graph's transitions: the edges
-// of state s are the parallel Labels/To entries in [Off[s], Off[s+1]), in
-// the graph's derivation order. Labels are interned through the exporting
-// LabelTable.
-type CSR struct {
-	// NumStates is the number of states (len(Off)-1).
-	NumStates int
-	// Off has NumStates+1 entries; Off[0] = 0.
-	Off []int32
-	// Labels holds the interned label of each edge.
-	Labels []LabelID
-	// To holds the target state of each edge.
-	To []int32
+// LabelMap translates the label ids of one table into another's, interning
+// each label into the target on its first translation, so the target's ids
+// follow the order in which labels are first translated.
+type LabelMap struct {
+	from, to *LabelTable
+	ids      []LabelID // target id per source id, -1 until translated
 }
 
-// NumEdges returns the number of transitions.
-func (c *CSR) NumEdges() int { return len(c.To) }
+// NewLabelMap returns the translation from table from into table to.
+func NewLabelMap(from, to *LabelTable) *LabelMap {
+	return &LabelMap{from: from, to: to}
+}
 
-// ExportCSR flattens the graph's edges into CSR form, interning every label
-// through t (shared tables give a shared id space across graphs).
-func (g *Graph) ExportCSR(t *LabelTable) *CSR {
-	n := g.NumStates()
-	m := g.NumTransitions()
-	c := &CSR{
-		NumStates: n,
-		Off:       make([]int32, n+1),
-		Labels:    make([]LabelID, 0, m),
-		To:        make([]int32, 0, m),
+// ID returns the target id of source id.
+func (m *LabelMap) ID(id LabelID) LabelID {
+	for int(id) >= len(m.ids) {
+		m.ids = append(m.ids, -1)
 	}
-	for s := 0; s < n; s++ {
-		for _, e := range g.Edges[s] {
-			c.Labels = append(c.Labels, t.Intern(e.Label))
-			c.To = append(c.To, int32(e.To))
-		}
-		c.Off[s+1] = int32(len(c.To))
+	if m.ids[id] < 0 {
+		m.ids[id] = m.to.Intern(m.from.Label(id))
 	}
-	return c
+	return m.ids[id]
 }

@@ -24,7 +24,7 @@ import (
 var ErrStateBudget = errors.New("lts: state budget exhausted")
 
 // lazyStates derives the states of a specification on demand. Its graph
-// holds the States and Edges of every state reached so far; a state's Edges
+// holds the States and edges of every state reached so far; a state's edges
 // are valid once derived. States are identified by lotos.Canon, as under
 // Explore, so they are the explorer's states.
 type lazyStates struct {
@@ -38,10 +38,9 @@ type lazyStates struct {
 
 // intern adds a state known to be absent.
 func (l *lazyStates) intern(key string, e lotos.Expr) int32 {
-	id := int32(len(l.g.States))
+	id := int32(l.g.addState())
 	l.index[key] = id
 	l.g.States = append(l.g.States, e)
-	l.g.Edges = append(l.g.Edges, nil)
 	l.derived = append(l.derived, false)
 	return id
 }
@@ -63,18 +62,18 @@ func (l *lazyStates) derive(st int32) error {
 			fresh++
 		}
 	}
-	if len(l.g.States)+fresh > l.limit {
+	if l.g.NumStates()+fresh > l.limit {
 		return fmt.Errorf("%w: the check needs more than %d states", ErrStateBudget, l.limit)
 	}
-	edges := make([]Edge, len(ts))
+	lo := int32(len(l.g.arena))
 	for i, t := range ts {
 		to, seen := l.index[keys[i]]
 		if !seen {
 			to = l.intern(keys[i], t.To)
 		}
-		edges[i] = Edge{Label: t.Label, To: int(to)}
+		l.g.arena = append(l.g.arena, Edge{Label: l.g.Table.Intern(t.Label), To: to})
 	}
-	l.g.Edges[st] = edges
+	l.g.spans[st] = span{lo, int32(len(l.g.arena))}
 	l.g.States[st] = nil // a derived state is never derived again
 	l.derived[st] = true
 	return nil
@@ -97,7 +96,7 @@ func NewMonitor(service *lotos.Spec) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := &lazyStates{env: env, g: &Graph{}, index: map[string]int32{}}
+	src := &lazyStates{env: env, g: &Graph{Table: NewLabelTable()}, index: map[string]int32{}}
 	src.intern(lotos.Canon(sp.Root.Expr), sp.Root.Expr)
 	return &Monitor{sub: newSubsets(src.g, src)}, nil
 }

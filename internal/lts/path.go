@@ -1,11 +1,12 @@
 package lts
 
-// PathStep is one edge on a concrete path through a Graph: the source state
-// and the edge taken from it. A path is a sequence of steps whose targets
-// chain (step[k].Edge.To == step[k+1].From).
+// PathStep is one edge on a concrete path through a Graph: the source state,
+// the edge's label and its target. A path is a sequence of steps whose
+// targets chain (step[k].To == step[k+1].From).
 type PathStep struct {
-	From int
-	Edge Edge
+	From  int
+	Label Label
+	To    int
 }
 
 // ShortestPathTo returns a shortest transition path (fewest edges) from the
@@ -37,16 +38,16 @@ func (g *Graph) ShortestPathTo(target func(state int) bool) ([]PathStep, bool) {
 	for len(queue) > 0 {
 		head := queue[0]
 		queue = queue[1:]
-		for ei, e := range g.Edges[head] {
+		for ei, e := range g.Out(head) {
 			if parent[e.To] >= 0 || e.To == 0 {
 				continue
 			}
 			parent[e.To] = int32(head)
 			parentEdge[e.To] = int32(ei)
-			if target(e.To) {
-				return g.unwind(parent, parentEdge, e.To), true
+			if target(int(e.To)) {
+				return g.unwind(parent, parentEdge, int(e.To)), true
 			}
-			queue = append(queue, e.To)
+			queue = append(queue, int(e.To))
 		}
 	}
 	return nil, false
@@ -58,7 +59,7 @@ func (g *Graph) unwind(parent, parentEdge []int32, state int) []PathStep {
 	var rev []PathStep
 	for state != 0 {
 		p := int(parent[state])
-		rev = append(rev, PathStep{From: p, Edge: g.Edges[p][parentEdge[state]]})
+		rev = append(rev, g.Step(p, g.Out(p)[parentEdge[state]]))
 		state = p
 	}
 	// Reverse in place.
@@ -68,13 +69,18 @@ func (g *Graph) unwind(parent, parentEdge []int32, state int) []PathStep {
 	return rev
 }
 
+// Step returns the path step that takes edge e out of state from.
+func (g *Graph) Step(from int, e Edge) PathStep {
+	return PathStep{From: from, Label: g.Label(e.Label), To: int(e.To)}
+}
+
 // ObservableTrace projects a path onto its observable labels, rendered as by
 // Label.String (internal steps are skipped; δ appears as "delta").
 func ObservableTrace(path []PathStep) []string {
 	var out []string
 	for _, st := range path {
-		if st.Edge.Label.Observable() {
-			out = append(out, st.Edge.Label.String())
+		if st.Label.Observable() {
+			out = append(out, st.Label.String())
 		}
 	}
 	return out

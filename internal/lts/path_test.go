@@ -6,17 +6,22 @@ import (
 	"repro/internal/lotos"
 )
 
+// labelEdge is an edge with its label spelled out, for building graphs.
+type labelEdge struct {
+	Label Label
+	To    int
+}
+
 // pathGraph builds a bare graph with n states and the given edges (the
 // expression/key/depth columns are irrelevant to path search).
-func pathGraph(n int, edges map[int][]Edge) *Graph {
-	g := &Graph{
-		States: make([]lotos.Expr, n),
-		Keys:   make([]string, n),
-		Edges:  make([][]Edge, n),
-		Depth:  make([]int, n),
-	}
+func pathGraph(n int, edges map[int][]labelEdge) *Graph {
+	g := NewGraph(n, nil)
 	for s, es := range edges {
-		g.Edges[s] = es
+		out := make([]Edge, len(es))
+		for i, e := range es {
+			out[i] = Edge{Label: g.Table.Intern(e.Label), To: int32(e.To)}
+		}
+		g.SetOut(s, out...)
 	}
 	return g
 }
@@ -25,7 +30,7 @@ func ev(name string) Label { return EventLabel(lotos.ServiceEvent(name, 1)) }
 
 func TestShortestPathToChain(t *testing.T) {
 	// 0 -a-> 1 -i-> 2 -b-> 3
-	g := pathGraph(4, map[int][]Edge{
+	g := pathGraph(4, map[int][]labelEdge{
 		0: {{Label: ev("a"), To: 1}},
 		1: {{Label: Internal(), To: 2}},
 		2: {{Label: ev("b"), To: 3}},
@@ -36,11 +41,11 @@ func TestShortestPathToChain(t *testing.T) {
 	}
 	// The steps chain: each target is the next step's source.
 	for i := 0; i+1 < len(path); i++ {
-		if path[i].Edge.To != path[i+1].From {
+		if path[i].To != path[i+1].From {
 			t.Fatalf("path does not chain at step %d: %v", i, path)
 		}
 	}
-	if path[0].From != 0 || path[len(path)-1].Edge.To != 3 {
+	if path[0].From != 0 || path[len(path)-1].To != 3 {
 		t.Errorf("path endpoints wrong: %v", path)
 	}
 	// The observable projection skips the internal step.
@@ -53,7 +58,7 @@ func TestShortestPathToChain(t *testing.T) {
 
 func TestShortestPathToPrefersShorterRoute(t *testing.T) {
 	// Two routes to 3: 0->1->2->3 (three edges) and 0->4->3 (two edges).
-	g := pathGraph(5, map[int][]Edge{
+	g := pathGraph(5, map[int][]labelEdge{
 		0: {{Label: ev("a"), To: 1}, {Label: ev("x"), To: 4}},
 		1: {{Label: ev("b"), To: 2}},
 		2: {{Label: ev("c"), To: 3}},
@@ -63,13 +68,13 @@ func TestShortestPathToPrefersShorterRoute(t *testing.T) {
 	if !ok || len(path) != 2 {
 		t.Fatalf("path = %v ok = %v, want the 2-step route", path, ok)
 	}
-	if path[0].Edge.To != 4 {
+	if path[0].To != 4 {
 		t.Errorf("took the long route: %v", path)
 	}
 }
 
 func TestShortestPathToRootAndUnreachable(t *testing.T) {
-	g := pathGraph(3, map[int][]Edge{0: {{Label: ev("a"), To: 1}}})
+	g := pathGraph(3, map[int][]labelEdge{0: {{Label: ev("a"), To: 1}}})
 	// The root itself is a target: empty non-nil path.
 	path, ok := g.ShortestPathTo(func(s int) bool { return s == 0 })
 	if !ok || path == nil || len(path) != 0 {
@@ -88,7 +93,7 @@ func TestShortestPathToRootAndUnreachable(t *testing.T) {
 
 func TestShortestPathToHandlesCycles(t *testing.T) {
 	// A cycle 0->1->0 with an exit 1->2: BFS must terminate and find it.
-	g := pathGraph(3, map[int][]Edge{
+	g := pathGraph(3, map[int][]labelEdge{
 		0: {{Label: ev("a"), To: 1}},
 		1: {{Label: ev("b"), To: 0}, {Label: ev("c"), To: 2}},
 	})
@@ -99,7 +104,7 @@ func TestShortestPathToHandlesCycles(t *testing.T) {
 }
 
 func TestObservableTraceRendersDelta(t *testing.T) {
-	g := pathGraph(3, map[int][]Edge{
+	g := pathGraph(3, map[int][]labelEdge{
 		0: {{Label: Internal(), To: 1}},
 		1: {{Label: Delta(), To: 2}},
 	})

@@ -7,7 +7,9 @@ package lts
 // walk over a transition system determinized on the fly: its nodes are
 // τ-closed sets of states, its edges rendered labels. Subsets builds that
 // automaton lazily and memoizes it, so each set is closed and expanded at
-// most once and nothing is computed for states no walk reaches.
+// most once and nothing is computed for states no walk reaches. It groups
+// edges by label id — the ids of one rendering together (LabelTable.Rendered)
+// — and renders a label only when it hands a step out.
 //
 // Subsets takes its states' edges from one of two places. Over a finished
 // Graph (NewSubsets) it reads them from the graph, whose truncation frontier
@@ -36,7 +38,7 @@ type Step struct {
 type Subsets struct {
 	g *Graph
 	// src, when non-nil, derives g's states on demand: g holds every state
-	// reached so far, and a state's Edges are valid once src derived it.
+	// reached so far, and a state's edges are valid once src derived it.
 	src *lazyStates
 	// Node n's states are mem[off[n]:off[n+1]], sorted ascending.
 	off, mem []int32
@@ -53,7 +55,7 @@ type Subsets struct {
 	mark  []uint32 // mark[s] == epoch: s is in the set being closed
 	epoch uint32
 	set   []int32
-	edges []Step // a node's observable edges, To holding the target state
+	edges []Edge // a node's observable edges, labelled by Rendered id
 }
 
 // NewSubsets starts the determinization of g.
@@ -68,7 +70,7 @@ func newSubsets(g *Graph, src *lazyStates) *Subsets {
 	return &Subsets{
 		g: g, src: src, byHash: map[uint64][]int32{}, mark: make([]uint32, g.NumStates()),
 		off: append(make([]int32, 0, 16), 0), mem: make([]int32, 0, 64), frontier: make([]bool, 0, 16),
-		succ: make([][]Step, 0, 16), set: make([]int32, 0, 16), edges: make([]Step, 0, 16),
+		succ: make([][]Step, 0, 16), set: make([]int32, 0, 16), edges: make([]Edge, 0, 16),
 	}
 }
 
@@ -130,14 +132,13 @@ func (s *Subsets) next(n int32, label string) (int32, error) {
 func (s *Subsets) expand(n int32) error {
 	s.edges = s.edges[:0]
 	for _, st := range s.mem[s.off[n]:s.off[n+1]] {
-		es := s.g.Edges[st]
-		for i := range es {
-			if e := &es[i]; e.Label.Observable() {
-				s.edges = append(s.edges, Step{e.Label.String(), int32(e.To)})
+		for _, e := range s.g.Out(int(st)) {
+			if s.g.Table.Observable(e.Label) {
+				s.edges = append(s.edges, Edge{s.g.Table.Rendered(e.Label), e.To})
 			}
 		}
 	}
-	slices.SortFunc(s.edges, func(a, b Step) int { return strings.Compare(a.Label, b.Label) })
+	slices.SortFunc(s.edges, func(a, b Edge) int { return int(a.Label - b.Label) })
 	steps := make([]Step, 0, 4)
 	for i := 0; i < len(s.edges); {
 		label := s.edges[i].Label
@@ -150,8 +151,9 @@ func (s *Subsets) expand(n int32) error {
 		if err != nil {
 			return err
 		}
-		steps = append(steps, Step{Label: label, To: to})
+		steps = append(steps, Step{Label: s.g.Table.Name(label), To: to})
 	}
+	slices.SortFunc(steps, func(a, b Step) int { return strings.Compare(a.Label, b.Label) })
 	s.succ[n] = steps
 	return nil
 }
@@ -187,10 +189,9 @@ func (s *Subsets) close() (int32, error) {
 				return -1, err
 			}
 		}
-		es := s.g.Edges[st]
-		for j := range es {
-			if es[j].Label.Kind == LInternal {
-				s.add(int32(es[j].To))
+		for _, e := range s.g.Out(int(st)) {
+			if s.g.Table.Kind(e.Label) == LInternal {
+				s.add(e.To)
 			}
 		}
 	}
@@ -208,7 +209,7 @@ func (s *Subsets) close() (int32, error) {
 	s.byHash[h] = append(s.byHash[h], n)
 	s.mem = append(s.mem, s.set...)
 	s.off = append(s.off, int32(len(s.mem)))
-	s.frontier = append(s.frontier, slices.ContainsFunc(s.set, func(st int32) bool { return s.g.Frontier[int(st)] }))
+	s.frontier = append(s.frontier, slices.ContainsFunc(s.set, func(st int32) bool { return s.g.Frontier(int(st)) }))
 	s.succ = append(s.succ, nil)
 	return n, nil
 }

@@ -139,7 +139,9 @@ func BenchmarkReductionBigK(b *testing.B) {
 // BenchmarkReductionVerify is the end-to-end acceptance lane: the full
 // facade verification (service exploration, product exploration, weak
 // bisimulation) of the two-instance corpus shape with and without the
-// symmetry reduction.
+// symmetry reduction, on the parallel explorer, plus the symmetry-reduced
+// verification on one worker — the configuration of the verify-deep
+// benchmark workload.
 func BenchmarkReductionVerify(b *testing.B) {
 	src, err := os.ReadFile("specs/multiinstance.spec")
 	if err != nil {
@@ -153,18 +155,25 @@ func BenchmarkReductionVerify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, red := range []string{"por", "por+symmetry"} {
-		b.Run(red, func(b *testing.B) {
+	for _, c := range []struct {
+		name, red string
+		parallel  bool
+	}{
+		{"por", "por", true},
+		{"por+symmetry", "por+symmetry", true},
+		{"por+symmetry/serial", "por+symmetry", false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rep, err := proto.Verify(&VerifyOptions{
 					ChannelCap: 1, ObsDepth: 4, MaxStates: 1000000,
-					Parallel: true, Reductions: red,
+					Parallel: c.parallel, Reductions: c.red,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
 				if !rep.Ok {
-					b.Fatalf("multiinstance not conformant under %s:\n%s", red, rep.Summary)
+					b.Fatalf("multiinstance not conformant under %s:\n%s", c.name, rep.Summary)
 				}
 			}
 		})
